@@ -382,10 +382,6 @@ let campaign_scale () =
   let nsvc = List.length services in
   let per_service = (if !quick then 60_000 else 1_000_000) / nsvc in
   let injections_total = per_service * nsvc in
-  (* warm the process-wide compile caches outside the timed region *)
-  List.iter
-    (fun i -> ignore (Superglue.Compiler.builtin i))
-    Superglue.Compiler.builtin_names;
   let run_sweep jobs =
     wall (fun () ->
         List.map
@@ -490,10 +486,6 @@ let web_tail () =
   let module Reqjoin = Sg_obs.Reqjoin in
   let module Hist = Sg_obs.Hist in
   let mode = Superglue.Stubset.mode in
-  (* warm the process-wide compile caches outside the timed region *)
-  List.iter
-    (fun i -> ignore (Superglue.Compiler.builtin i))
-    Superglue.Compiler.builtin_names;
   let requests = if !quick then 4_000 else 40_000 in
   let cfg = { Loadgen.default with Loadgen.lg_requests = requests } in
   let periods = [ None; Some 3_000_000; Some 1_000_000 ] in

@@ -19,6 +19,7 @@ type t = {
   fl : flavor;
   descs : (int, desc) Hashtbl.t;
   mutable next_virtual : int;
+  mutable invalid : int;
 }
 
 (* virtual ids live far above any concrete server id so that the
@@ -27,13 +28,20 @@ type t = {
 let virtual_base = 1 lsl 40
 
 let create ~flavor () =
-  { fl = flavor; descs = Hashtbl.create 32; next_virtual = virtual_base }
+  {
+    fl = flavor;
+    descs = Hashtbl.create 32;
+    next_virtual = virtual_base;
+    invalid = 0;
+  }
 
 let fresh t =
   let v = t.next_virtual in
   t.next_virtual <- v + 1;
   v
 let flavor t = t.fl
+let count_invalid t = t.invalid <- t.invalid + 1
+let invalid_transitions t = t.invalid
 
 let track_charge t sim =
   let c = Sim.cost sim in

@@ -37,6 +37,15 @@ type t
 val create : flavor:flavor -> unit -> t
 val flavor : t -> flavor
 
+val count_invalid : t -> unit
+(** Fault detection (paper §III-B): count one call that arrived in a
+    state with no σ edge for the function. The stub that tracks the
+    descriptor keeps the count, so it belongs to one client stub of one
+    system. *)
+
+val invalid_transitions : t -> int
+(** Invalid transitions counted so far by {!count_invalid}. *)
+
 val track_charge : t -> Sg_os.Sim.t -> unit
 (** Charge one tracking action at this stub's flavor cost. *)
 

@@ -230,6 +230,18 @@ let services sys =
     ("timer", sys.sys_timer);
   ]
 
+let invalid_transitions sys =
+  let clients = sys.sys_app1 :: sys.sys_app2 :: List.map snd (services sys) in
+  List.fold_left
+    (fun acc client ->
+      List.fold_left
+        (fun acc iface ->
+          match sys.sys_stub ~client ~iface with
+          | Some s -> acc + Tracker.invalid_transitions (Cstub.tracker s)
+          | None -> acc)
+        acc boot_order)
+    0 clients
+
 let cid_of_iface sys iface =
   match List.assoc_opt iface (services sys) with
   | Some cid -> cid

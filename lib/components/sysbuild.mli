@@ -83,4 +83,9 @@ val build :
 val services : system -> (string * Sg_os.Comp.cid) list
 (** The six injectable system services, by interface name. *)
 
+val invalid_transitions : system -> int
+(** Invalid state-machine transitions counted by every client stub of
+    this system (paper §III-B fault detection); 0 in [Base] mode and for
+    the hand-written C³ stubs, which do not count them. *)
+
 val cid_of_iface : system -> string -> Sg_os.Comp.cid

@@ -32,8 +32,9 @@ val builtin_names : string list
     sched, mm, fs, lock, evt, timer. *)
 
 val builtin : string -> artifact
-(** Compiled (and memoized) embedded specification. Raises
-    [Invalid_argument] for an unknown name. *)
+(** Compiled embedded specification. All six are compiled once, when
+    the module initialises, so the result is shared and immutable.
+    Raises [Invalid_argument] for an unknown name. *)
 
 val builtin_source : string -> string
 

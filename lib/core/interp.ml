@@ -8,20 +8,6 @@ module Cstub = Sg_c3.Cstub
 module Serverstub = Sg_c3.Serverstub
 module Storage = Sg_storage.Storage
 
-(* Fault-detection counters (invalid state-machine transitions), keyed
-   by interface name. *)
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-let counter iface =
-  match Hashtbl.find_opt counters iface with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace counters iface r;
-      r
-
-let invalid_transitions cfg = !(counter cfg.Cstub.cfg_iface)
-
 let default_value ty =
   if Ir.marshal_is_string ty then Comp.VStr "" else Comp.VInt 0
 
@@ -109,7 +95,7 @@ let track ir machine storage sim tr ~epoch fn args ret =
                   (* fault detection: flag transitions outside sigma *)
                   (match Machine.sigma machine d.Tracker.d_state fn with
                   | Some _ -> ()
-                  | None -> incr (counter ir.Ir.ir_name));
+                  | None -> Tracker.count_invalid tr);
                   Tracker.set_state tr sim d (Machine.after fn);
                   List.iter
                     (fun (k, v) -> Tracker.set_meta tr sim d k v)

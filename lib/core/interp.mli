@@ -16,7 +16,9 @@ val client_config :
     argument capture; return-value set/accumulate updates; terminal
     handling with C_dr child revocation and Y_dr record removal; parent
     resolution, cross-component via the storage registry) and the
-    state-machine recovery walk computed by {!Machine.plan}. *)
+    state-machine recovery walk computed by {!Machine.plan}. A call
+    arriving in a state with no σ edge is counted in the client's own
+    tracker ({!Sg_c3.Tracker.count_invalid}, paper §III-B). *)
 
 val server_config :
   ?wakeup_dep:Sg_os.Port.t option ref * string ->
@@ -28,7 +30,3 @@ val server_config :
     through [wakeup_dep] (the wakeup function of the recovering server's
     own server, e.g. the scheduler's) when given, directly through the
     kernel otherwise. *)
-
-val invalid_transitions : Sg_c3.Cstub.config -> int
-(** Fault-detection counter: invalid state-machine transitions observed
-    by a client config built with {!client_config} (paper §III-B). *)

@@ -116,8 +116,6 @@ let as_int = function
 
 let meta_or d key default =
   match Tracker.meta d key with Some v -> v | None -> default
-
-let sg_invalid_transitions = ref 0
 |}
     ir.Ir.ir_name
 
@@ -209,12 +207,12 @@ let emit_update_arm machine ir buf f =
       (Machine.states machine)
   in
   (match preds with
-  | [] -> bprintf buf "          incr sg_invalid_transitions;\n"
+  | [] -> bprintf buf "          Tracker.count_invalid tr;\n"
   | _ ->
       bprintf buf "          (match d.Tracker.d_state with\n";
       bprintf buf "          | %s -> ()\n"
         (String.concat " | " (List.map (Printf.sprintf "%S") preds));
-      bprintf buf "          | _ -> incr sg_invalid_transitions);\n");
+      bprintf buf "          | _ -> Tracker.count_invalid tr);\n");
   bprintf buf "          Tracker.set_state tr sim d %S;\n" (Machine.after fn);
   List.iter
     (fun p ->

@@ -138,10 +138,8 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
   end
   else begin
     (* The first chunk's sequential budget is [injections] itself, so run
-       it in this domain before engaging the pool: it doubles as the
-       warm-up of the process-wide compile caches (Compiler.builtin /
-       Interp.counter), which become read-only for the rest of the
-       campaign, and its injection count calibrates the batch size. *)
+       it in this domain before engaging the pool: its injection count
+       calibrates the batch size. *)
     let first = run_one ~chunk_seed:seed ~budget:injections in
     let acc = ref (Campaign.add (Campaign.empty iface) (strip first.cr_row)) in
     deliver seed first;

@@ -49,7 +49,8 @@ let run (type a) ~jobs ?count ?(lookahead = 0)
     let next = Atomic.make 0 in
     let cursor = Atomic.make 0 in
     let stop = Atomic.make false in
-    let slots : (a, exn) result option Atomic.t array =
+    let slots :
+        (a, exn * Printexc.raw_backtrace) result option Atomic.t array =
       Array.init lookahead (fun _ -> Atomic.make None)
     in
     let m = Mutex.create () in
@@ -81,11 +82,19 @@ let run (type a) ~jobs ?count ?(lookahead = 0)
         else if Atomic.compare_and_set next n (n + 1) then `Claimed n
         else try_claim ()
     in
+    (* the worker's backtrace travels with its exception, so the
+       re-raise in the caller's domain still names where it came from;
+       backtrace recording is per-domain, so workers copy the caller's *)
+    let record_backtrace = Printexc.backtrace_status () in
     let run_task i =
-      publish i (match task ~cancelled i with v -> Ok v | exception e -> Error e)
+      publish i
+        (match task ~cancelled i with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
     let worker () =
       tune_gc ();
+      Printexc.record_backtrace record_backtrace;
       let live = ref true in
       while !live do
         match try_claim () with
@@ -136,16 +145,17 @@ let run (type a) ~jobs ?count ?(lookahead = 0)
               Mutex.unlock m
             end;
             match r with
-            | Error e ->
+            | Error (e, bt) ->
                 halt ();
-                raise e
+                Printexc.raise_with_backtrace e bt
             | Ok v -> (
                 match consume c v with
                 | Stop -> halt ()
                 | Continue -> merge ()
                 | exception e ->
+                    let bt = Printexc.get_raw_backtrace () in
                     halt ();
-                    raise e)
+                    Printexc.raise_with_backtrace e bt)
           end
         | None -> (
             (* next needed result not ready: help rather than block *)

@@ -32,10 +32,12 @@
       tasks via [cancelled], so a long task can cut its own tail short.
 
     Error contract: a task exception is re-raised in the caller's domain
-    when the consume cursor reaches that task's index; an exception from
-    [consume] propagates directly. In both cases every spawned domain is
-    joined *before* the exception escapes [run], and no result outlives
-    the call — the ring is private to it. *)
+    when the consume cursor reaches that task's index, with the
+    backtrace recorded where the task raised it (when recording is on,
+    {!Printexc.record_backtrace}); an exception from [consume]
+    propagates directly. In both cases every spawned domain is joined
+    *before* the exception escapes [run], and no result outlives the
+    call — the ring is private to it. *)
 
 type decision =
   | Continue  (** keep consuming *)
@@ -63,9 +65,11 @@ val run :
 (** [run ~jobs ~task ~consume ()] feeds [consume 0 (task 0)],
     [consume 1 (task 1)], … until [consume] answers [Stop] (or [count]
     tasks were consumed, when given). [task] must be a pure function of
-    its index: it runs exactly once, on an arbitrary domain, and indices
-    may execute out of order. [consume] always runs in the calling
-    domain, strictly in index order.
+    its index: it runs exactly once, on an arbitrary domain (index 0
+    included), and indices may execute out of order. Tasks may share
+    only immutable values, so there is nothing to warm up before a
+    fan-out. [consume] always runs in the calling domain, strictly in
+    index order.
 
     [jobs] is the total domain count including the caller (clamped to
     ≥ 1; [jobs = 1] spawns nothing and degenerates to a sequential

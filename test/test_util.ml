@@ -182,9 +182,19 @@ let test_pool_more_jobs_than_work () =
     ();
   Alcotest.(check int) "sum of 1+2+3" 6 !sum
 
+(* the file of the backtrace's first slot: where the exception was raised *)
+let raise_site bt =
+  match Printexc.backtrace_slots bt with
+  | Some slots when Array.length slots > 0 ->
+      Option.map
+        (fun l -> l.Printexc.filename)
+        (Printexc.Slot.location slots.(0))
+  | _ -> None
+
 let test_pool_task_exception () =
+  Printexc.record_backtrace true;
   let delivered = ref 0 in
-  let raised =
+  let raised, bt =
     try
       Pool.run ~jobs:4 ~count:50
         ~task:(fun ~cancelled:_ i -> if i = 7 then failwith "task boom" else i)
@@ -192,10 +202,16 @@ let test_pool_task_exception () =
           incr delivered;
           Pool.Continue)
         ();
-      false
-    with Failure msg -> msg = "task boom"
+      (false, None)
+    with Failure msg -> (msg = "task boom", Some (Printexc.get_raw_backtrace ()))
   in
   Alcotest.(check bool) "task exception propagates" true raised;
+  let bt = Option.get bt in
+  Alcotest.(check bool) "backtrace kept" true
+    (Printexc.raw_backtrace_length bt > 0);
+  (* the task's own raise (Stdlib.failwith), not the pool's re-raise *)
+  Alcotest.(check (option string)) "backtrace starts in the task"
+    (Some "stdlib.ml") (raise_site bt);
   Alcotest.(check int) "results before the failing index" 7 !delivered;
   (* every domain must have been joined before the raise: a fresh run
      on the same process has the whole domain budget available *)
