@@ -3,25 +3,16 @@
 
 open Cmdliner
 module Campaign = Sg_swifi.Campaign
-module Sysbuild = Sg_components.Sysbuild
-
-let mode_conv =
-  let parse = function
-    | "base" -> Ok Sysbuild.Base
-    | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-    | "superglue" -> Ok Superglue.Stubset.mode
-    | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-    | m -> Error (`Msg ("unknown mode " ^ m))
-  in
-  let print ppf _ = Format.fprintf ppf "<mode>" in
-  Arg.conv (parse, print)
 
 let mode_arg =
+  let mode_conv =
+    Arg.conv (Sg_harness.Modes.of_name, fun ppf _ -> Format.fprintf ppf "<mode>")
+  in
   Arg.(
     value
     & opt mode_conv Superglue.Stubset.mode
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"System configuration: base, c3, superglue or superglue-gen.")
+        ~doc:("System configuration: " ^ Sg_harness.Modes.names ^ "."))
 
 let iface_arg =
   Arg.(

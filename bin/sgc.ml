@@ -16,12 +16,14 @@ module Model = Superglue.Model
 module Ir = Superglue.Ir
 module Diag = Superglue.Diag
 module Analysis = Sg_analysis.Analysis
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
-(* the report CLIs share the analyzer's exit-code convention *)
-let exit_ok = Json.exit_ok
-let exit_findings = Json.exit_findings
-let exit_compile_error = Json.exit_compile_error
+(* The exit-code convention every command shares: 0 clean, 1 findings
+   (error-severity diagnostics or an unbounded pair), 2 the compiler
+   rejected the input. *)
+let exit_ok = 0
+let exit_findings = 1
+let exit_compile_error = 2
 
 let load source builtin =
   match (source, builtin) with
@@ -139,7 +141,13 @@ let graph_cmd =
           Graphviz DOT (the Fig 2 diagrams).")
     Term.(ret (const run $ file_arg $ builtin_arg $ out_arg))
 
-let lint_cmd =
+(* A report command over many artifacts ([lint], [bound], [taint],
+   [race]): FILE... and --builtins select the artifacts, the [analyze]
+   term runs the pass, and the report prints as [render] text or, with
+   --json, as [to_json]. [findings] decides exit 1. A spec that does not
+   compile prints its diagnostics (with --json, as a lint report) and
+   exits 2. *)
+let report_cmd name ~doc ~analyze ~render ~to_json ~findings =
   let files_arg =
     Arg.(
       value
@@ -150,65 +158,50 @@ let lint_cmd =
     Arg.(
       value & flag
       & info [ "builtins" ]
-          ~doc:"Also lint the six embedded system interfaces.")
+          ~doc:"Also analyze the six embedded system interfaces.")
   in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
+    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
-  let run files builtins json =
+  let print_json j = print_endline (Json.to_string j) in
+  let run analyze files builtins json =
     if files = [] && not builtins then
       `Error (true, "give at least one FILE or --builtins")
     else
       match
         List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
+        @ if builtins then List.map Compiler.builtin Compiler.builtin_names
+          else []
       with
       | artifacts ->
-          let ds = Analysis.lint artifacts in
-          if json then
-            print_endline (Json.to_string (Analysis.report_to_json ds))
-          else begin
-            List.iter (fun d -> Printf.printf "%s\n" (Diag.to_string d)) ds;
-            Printf.printf "%d error(s), %d warning(s), %d info(s)\n"
-              (Diag.count Diag.Error ds)
-              (Diag.count Diag.Warning ds)
-              (Diag.count Diag.Info ds)
-          end;
-          `Ok (if Diag.has_errors ds then exit_findings else exit_ok)
+          let report = analyze artifacts in
+          if json then print_json (to_json report)
+          else print_string (render report);
+          `Ok (if findings report then exit_findings else exit_ok)
       | exception Compiler.Compile_error ds ->
-          if json then
-            print_endline (Json.to_string (Analysis.report_to_json ds))
+          if json then print_json (Analysis.report_to_json ds)
           else List.iter print_diag ds;
           `Ok exit_compile_error
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the recovery-soundness static analyzer. Exit 0 if no \
-          error-severity finding, 1 if any, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  Cmd.v (Cmd.info name ~doc)
+    Term.(ret (const run $ analyze $ files_arg $ builtins_flag $ json_flag))
+
+let lint_cmd =
+  report_cmd "lint"
+    ~doc:
+      "Run the recovery-soundness static analyzer. Exit 0 if no \
+       error-severity finding, 1 if any, 2 on compile errors."
+    ~analyze:(Term.const (fun a -> Analysis.lint a))
+    ~render:(fun ds ->
+      String.concat "" (List.map (fun d -> Diag.to_string d ^ "\n") ds)
+      ^ Printf.sprintf "%d error(s), %d warning(s), %d info(s)\n"
+          (Diag.count Diag.Error ds)
+          (Diag.count Diag.Warning ds)
+          (Diag.count Diag.Info ds))
+    ~to_json:Analysis.report_to_json ~findings:Diag.has_errors
 
 let bound_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also bound the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the bound table as JSON on stdout.")
-  in
+  let module Wcr = Sg_analysis.Wcr in
   let scale_arg =
     Arg.(
       value
@@ -216,146 +209,44 @@ let bound_cmd =
       & info [ "cost-scale" ] ~docv:"F"
           ~doc:"Scale every cost-model constant by $(docv) (sensitivity).")
   in
-  let run files builtins json scale =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let params =
-            {
-              Sg_analysis.Wcr.default_params with
-              Sg_analysis.Wcr.p_cost =
-                Sg_kernel.Cost.scale Sg_kernel.Cost.default scale;
-            }
-          in
-          let report = Sg_analysis.Wcr.analyze ~params artifacts in
-          if json then
-            print_endline (Json.to_string (Sg_analysis.Wcr.to_json report))
-          else print_string (Sg_analysis.Wcr.render report);
-          (* unbounded pairs (a tracked interface without desc_table_cap,
-             SG014) are findings, like lint errors *)
-          let unbounded =
-            List.exists
-              (fun p -> p.Sg_analysis.Wcr.p_bound_ns = None)
-              report.Sg_analysis.Wcr.r_pairs
-          in
-          `Ok (if unbounded then exit_findings else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
+  let analyze scale =
+    let cost = Sg_kernel.Cost.scale Sg_kernel.Cost.default scale in
+    Wcr.analyze ~params:{ Wcr.default_params with Wcr.p_cost = cost }
   in
-  Cmd.v
-    (Cmd.info "bound"
-       ~doc:
-         "Compute static worst-case recovery-latency bounds for every \
-          (crashed service, client interface) pair. Exit 0 if every pair \
-          is bounded, 1 if any is unbounded, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag $ scale_arg))
+  report_cmd "bound"
+    ~doc:
+      "Compute static worst-case recovery-latency bounds for every \
+       (crashed service, client interface) pair. Exit 0 if every pair is \
+       bounded, 1 if any is unbounded, 2 on compile errors."
+    ~analyze:Term.(const analyze $ scale_arg)
+    ~render:Wcr.render ~to_json:Wcr.to_json
+      (* unbounded pairs (a tracked interface without desc_table_cap,
+         SG014) are findings, like lint errors *)
+    ~findings:(fun r ->
+      List.exists (fun p -> p.Wcr.p_bound_ns = None) r.Wcr.r_pairs)
 
 let taint_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also analyze the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the verdict table as JSON on stdout.")
-  in
-  let run files builtins json =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let report = Sg_analysis.Taint.analyze artifacts in
-          if json then
-            print_endline
-              (Json.to_string (Sg_analysis.Taint.report_to_json report))
-          else print_string (Sg_analysis.Taint.render report);
-          `Ok
-            (if Diag.has_errors report.Sg_analysis.Taint.t_diags then
-               exit_findings
-             else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
-  in
-  Cmd.v
-    (Cmd.info "taint"
-       ~doc:
-         "Classify every (interface edge, field) pair as masked, detected \
-          or silent under value corruption, and report SG016-SG019 \
-          propagation findings. Exit 0 if no finding, 1 if any, 2 on \
-          compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  let module Taint = Sg_analysis.Taint in
+  report_cmd "taint"
+    ~doc:
+      "Classify every (interface edge, field) pair as masked, detected or \
+       silent under value corruption, and report SG016-SG019 propagation \
+       findings. Exit 0 if no finding, 1 if any, 2 on compile errors."
+    ~analyze:(Term.const (fun a -> Taint.analyze a)) ~render:Taint.render
+    ~to_json:Taint.report_to_json
+    ~findings:(fun r -> Diag.has_errors r.Taint.t_diags)
 
 let race_cmd =
-  let files_arg =
-    Arg.(
-      value
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Interface specifications (.sgidl).")
-  in
-  let builtins_flag =
-    Arg.(
-      value & flag
-      & info [ "builtins" ]
-          ~doc:"Also analyze the six embedded system interfaces.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the verdict table as JSON on stdout.")
-  in
-  let run files builtins json =
-    if files = [] && not builtins then
-      `Error (true, "give at least one FILE or --builtins")
-    else
-      match
-        List.map Compiler.compile_file files
-        @ (if builtins then List.map Compiler.builtin Compiler.builtin_names
-           else [])
-      with
-      | artifacts ->
-          let report = Sg_analysis.Race.analyze artifacts in
-          if json then
-            print_endline
-              (Json.to_string (Sg_analysis.Race.report_to_json report))
-          else print_string (Sg_analysis.Race.render report);
-          `Ok
-            (if Diag.has_errors report.Sg_analysis.Race.r_diags then
-               exit_findings
-             else exit_ok)
-      | exception Compiler.Compile_error ds ->
-          List.iter print_diag ds;
-          `Ok exit_compile_error
-  in
-  Cmd.v
-    (Cmd.info "race"
-       ~doc:
-         "Classify every (recovery walk, concurrent invocation edge) \
-          pair as isolated, serialized or racy over the walk's phase \
-          intervals, and report SG021-SG025 interference findings. \
-          Exit 0 if no finding, 1 if any, 2 on compile errors.")
-    Term.(ret (const run $ files_arg $ builtins_flag $ json_flag))
+  let module Race = Sg_analysis.Race in
+  report_cmd "race"
+    ~doc:
+      "Classify every (recovery walk, concurrent invocation edge) pair as \
+       isolated, serialized or racy over the walk's phase intervals, and \
+       report SG021-SG025 interference findings. Exit 0 if no finding, 1 \
+       if any, 2 on compile errors."
+    ~analyze:(Term.const (fun a -> Race.analyze a)) ~render:Race.render
+    ~to_json:Race.report_to_json
+    ~findings:(fun r -> Diag.has_errors r.Race.r_diags)
 
 let () =
   let info =

@@ -20,26 +20,15 @@ module Comp = Sg_os.Comp
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 
-let mode_conv =
-  let parse = function
-    | "base" -> Ok Sysbuild.Base
-    | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-    | "superglue" -> Ok Superglue.Stubset.mode
-    | "superglue-eager" -> Ok Superglue.Stubset.mode_eager
-    | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-    | m -> Error (`Msg ("unknown mode " ^ m))
-  in
-  let print ppf _ = Format.fprintf ppf "<mode>" in
-  Arg.conv (parse, print)
-
 let mode_arg =
+  let mode_conv =
+    Arg.conv (Sg_harness.Modes.of_name, fun ppf _ -> Format.fprintf ppf "<mode>")
+  in
   Arg.(
     value
     & opt mode_conv Superglue.Stubset.mode
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:
-          "System configuration: base, c3, superglue, superglue-eager or \
-           superglue-gen.")
+        ~doc:("System configuration: " ^ Sg_harness.Modes.names ^ "."))
 
 let iface_arg =
   Arg.(
@@ -148,53 +137,43 @@ let dump mode iface iters seed storm out =
     0
   end
 
-let load_events = function
-  | None -> Sg_obs.Jsonl.load stdin
-  | Some path ->
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Sg_obs.Jsonl.load ic)
+(* Load the stream at [file] (stdin if [None]) and pass it to [f]; a
+   parse or I/O error is reported and exits 2. *)
+let with_events file f =
+  match
+    match file with
+    | None -> Sg_obs.Jsonl.load stdin
+    | Some path -> In_channel.with_open_text path Sg_obs.Jsonl.load
+  with
+  | events -> f events
+  | exception Sg_util.Json.Parse_error msg ->
+      Printf.eprintf "sgtrace: parse error: %s\n" msg;
+      2
+  | exception Sys_error msg ->
+      Printf.eprintf "sgtrace: %s\n" msg;
+      2
 
 let check file recovery_mode incomplete =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events -> (
-      let violations =
-        Sg_obs.Check.run ?mode:recovery_mode ~completed:(not incomplete) events
-      in
-      match violations with
-      | [] ->
-          Printf.printf "ok: %d events, all invariants hold\n"
-            (List.length events);
-          0
-      | vs ->
-          List.iter
-            (fun v -> Format.printf "violation: %a@." Sg_obs.Check.pp_violation v)
-            vs;
-          Printf.printf "%d violation(s) in %d events\n" (List.length vs)
-            (List.length events);
-          1)
+  with_events file @@ fun events ->
+  match Sg_obs.Check.run ?mode:recovery_mode ~completed:(not incomplete) events with
+  | [] ->
+      Printf.printf "ok: %d events, all invariants hold\n" (List.length events);
+      0
+  | vs ->
+      List.iter
+        (fun v -> Format.printf "violation: %a@." Sg_obs.Check.pp_violation v)
+        vs;
+      Printf.printf "%d violation(s) in %d events\n" (List.length vs)
+        (List.length events);
+      1
 
 let summary file =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
-      let m = Sg_obs.Metrics.create () in
-      List.iter (Sg_obs.Metrics.feed m) events;
-      Printf.printf "%d events\n" (List.length events);
-      Format.printf "%a@?" Sg_obs.Metrics.pp_summary m;
-      0
+  with_events file @@ fun events ->
+  let m = Sg_obs.Metrics.create () in
+  List.iter (Sg_obs.Metrics.feed m) events;
+  Printf.printf "%d events\n" (List.length events);
+  Format.printf "%a@?" Sg_obs.Metrics.pp_summary m;
+  0
 
 let json_arg =
   Arg.(
@@ -203,38 +182,29 @@ let json_arg =
         ~doc:"Emit a versioned machine-readable profile instead of text.")
 
 let profile file json =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
-      let eps = Sg_obs.Episode.of_events events in
-      if json then
-        let source = match file with Some p -> p | None -> "<stdin>" in
-        print_endline (Sg_obs.Profile.to_json ~source eps)
-      else Format.printf "%a@?" Sg_obs.Profile.pp eps;
-      0
+  with_events file @@ fun events ->
+  let eps = Sg_obs.Episode.of_events events in
+  if json then
+    let source = match file with Some p -> p | None -> "<stdin>" in
+    print_endline (Sg_obs.Profile.to_json ~source eps)
+  else Format.printf "%a@?" Sg_obs.Profile.pp eps;
+  0
 
 let tail file json =
-  match load_events file with
-  | exception Sg_obs.Jsonl.Parse_error msg ->
-      Printf.eprintf "sgtrace: parse error: %s\n" msg;
-      2
-  | exception Sys_error msg ->
-      Printf.eprintf "sgtrace: %s\n" msg;
-      2
-  | events ->
-      let t = Sg_obs.Reqjoin.of_events events in
-      if json then
-        print_endline
-          (Printf.sprintf "{\"schema\":\"sg-reqjoin\",\"version\":%d,\"join\":%s}"
-             Sg_obs.Reqjoin.json_version
-             (Sg_obs.Reqjoin.to_json t))
-      else Format.printf "%a@?" Sg_obs.Reqjoin.pp t;
-      0
+  with_events file @@ fun events ->
+  let t = Sg_obs.Reqjoin.of_events events in
+  if json then
+    print_endline
+      Sg_util.Json.(
+        to_string
+          (Obj
+             [
+               ("schema", Str "sg-reqjoin");
+               ("version", Int Sg_obs.Reqjoin.json_version);
+               ("join", Sg_obs.Reqjoin.json t);
+             ]))
+  else Format.printf "%a@?" Sg_obs.Reqjoin.pp t;
+  0
 
 let dump_cmd =
   let term =

@@ -14,15 +14,10 @@ module Abench = Sg_web.Abench
 module Loadgen = Sg_web.Loadgen
 module Reqjoin = Sg_obs.Reqjoin
 
-let mode_of_name = function
-  | "base" -> Ok Sysbuild.Base
-  | "c3" -> Ok (Sysbuild.Stubbed Sysbuild.c3_stubset)
-  | "superglue" -> Ok Superglue.Stubset.mode
-  | "superglue-gen" -> Ok Sg_genstubs.Gen_stubset.mode
-  | m -> Error (`Msg ("unknown mode " ^ m))
+module Modes = Sg_harness.Modes
 
 let mode_conv =
-  Arg.conv (mode_of_name, fun ppf _ -> Format.fprintf ppf "<mode>")
+  Arg.conv (Modes.of_name, fun ppf _ -> Format.fprintf ppf "<mode>")
 
 (* ---------- fig7 (closed-loop, the original harness) ---------- *)
 
@@ -31,8 +26,8 @@ let mode_arg =
     value
     & opt (some mode_conv) None
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Run one configuration (base, c3, superglue, superglue-gen); \
-              default: the full Fig 7 comparison.")
+        ~doc:("Run one configuration (" ^ Modes.names
+              ^ "); default: the full Fig 7 comparison."))
 
 let requests_arg =
   Arg.(value & opt int 50_000 & info [ "requests" ] ~docv:"N" ~doc:"HTTP requests.")
@@ -87,7 +82,7 @@ let ol_mode_arg =
   Arg.(
     value & opt string "superglue"
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"System configuration: base, c3, superglue or superglue-gen.")
+        ~doc:("System configuration: " ^ Modes.names ^ "."))
 
 let arrival_arg =
   Arg.(
@@ -174,42 +169,49 @@ let arrival_of ~arrival ~rate ~burst_rate ~quiet_ms ~burst_ms =
       Loadgen.Bursty
         { base_rps = rate; burst_rps = burst_rate; quiet_ms; burst_ms }
 
-let arrival_json = function
+let arrival_json =
+  let open Sg_util.Json in
+  function
   | Loadgen.Poisson { rate_rps } ->
-      Printf.sprintf "\"arrival\":\"poisson\",\"rate_rps\":%.1f" rate_rps
+      [ ("arrival", Str "poisson"); ("rate_rps", Fixed (1, rate_rps)) ]
   | Loadgen.Bursty { base_rps; burst_rps; quiet_ms; burst_ms } ->
-      Printf.sprintf
-        "\"arrival\":\"bursty\",\"rate_rps\":%.1f,\"burst_rps\":%.1f,\"quiet_ms\":%.1f,\"burst_ms\":%.1f"
-        base_rps burst_rps quiet_ms burst_ms
+      [
+        ("arrival", Str "bursty");
+        ("rate_rps", Fixed (1, base_rps));
+        ("burst_rps", Fixed (1, burst_rps));
+        ("quiet_ms", Fixed (1, quiet_ms));
+        ("burst_ms", Fixed (1, burst_ms));
+      ]
 
 let report_json ~mode_name cfg outcomes =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\"schema\":\"sg-webbench\",\"version\":1,";
-  add (Printf.sprintf "\"mode\":%S," mode_name);
-  add (arrival_json cfg.Loadgen.lg_arrival);
-  add
-    (Printf.sprintf
-       ",\"requests\":%d,\"clients\":%d,\"workers\":%d,\"queue_cap\":%d,\"keepalive\":%.2f,\"conn_setup_ns\":%d,\"seed\":%d,"
-       cfg.Loadgen.lg_requests cfg.Loadgen.lg_clients cfg.Loadgen.lg_workers
-       cfg.Loadgen.lg_queue_cap cfg.Loadgen.lg_keepalive
-       cfg.Loadgen.lg_conn_setup_ns cfg.Loadgen.lg_seed);
-  add "\"runs\":[";
-  List.iteri
-    (fun i (o : Loadgen.outcome) ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"fault_period_ms\":%d,\"faults\":%d,\"reboots\":%d,\"join\":"
-           (match o.oc_fault_period_ns with
-           | None -> 0
-           | Some ns -> ns / 1_000_000)
-           o.oc_result.Loadgen.lr_faults o.oc_reboots);
-      add (Reqjoin.to_json o.oc_join);
-      add "}")
-    outcomes;
-  add "]}";
-  Buffer.contents b
+  let open Sg_util.Json in
+  let run (o : Loadgen.outcome) =
+    Obj
+      [
+        ( "fault_period_ms",
+          Int
+            (match o.oc_fault_period_ns with
+            | None -> 0
+            | Some ns -> ns / 1_000_000) );
+        ("faults", Int o.oc_result.Loadgen.lr_faults);
+        ("reboots", Int o.oc_reboots);
+        ("join", Reqjoin.json o.oc_join);
+      ]
+  in
+  to_string
+    (Obj
+       ([ ("schema", Str "sg-webbench"); ("version", Int 1); ("mode", Str mode_name) ]
+       @ arrival_json cfg.Loadgen.lg_arrival
+       @ [
+           ("requests", Int cfg.Loadgen.lg_requests);
+           ("clients", Int cfg.Loadgen.lg_clients);
+           ("workers", Int cfg.Loadgen.lg_workers);
+           ("queue_cap", Int cfg.Loadgen.lg_queue_cap);
+           ("keepalive", Fixed (2, cfg.Loadgen.lg_keepalive));
+           ("conn_setup_ns", Int cfg.Loadgen.lg_conn_setup_ns);
+           ("seed", Int cfg.Loadgen.lg_seed);
+           ("runs", List (List.map run outcomes));
+         ]))
 
 let print_text ~mode_name outcomes =
   List.iter
@@ -225,7 +227,7 @@ let print_text ~mode_name outcomes =
 
 let run_open_loop mode_name arrival rate burst_rate quiet_ms burst_ms requests
     clients workers queue_cap keepalive seed periods jobs json =
-  match mode_of_name mode_name with
+  match Modes.of_name mode_name with
   | Error (`Msg m) ->
       prerr_endline ("webbench: " ^ m);
       exit 2

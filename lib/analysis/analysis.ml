@@ -13,6 +13,7 @@ module Model = Superglue.Model
 module Compiler = Superglue.Compiler
 module Codegen = Superglue.Codegen
 module Diag = Superglue.Diag
+module Json = Sg_util.Json
 
 (* ---------- the rule table ---------- *)
 

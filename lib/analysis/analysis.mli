@@ -48,14 +48,14 @@ val lint :
 (** Compilation warnings + {!analyze} per artifact + {!analyze_system},
     sorted for rendering. *)
 
-val diag_to_json : Diag.t -> Json.t
-val report_to_json : Diag.t list -> Json.t
+val diag_to_json : Diag.t -> Sg_util.Json.t
+val report_to_json : Diag.t list -> Sg_util.Json.t
 (** The [sgc lint --json] schema:
     [{"version":2,"schema":"sgc-lint","diagnostics":[{"code","severity",
     "file"?,"line"?,"col"?,"message"}...],"errors":N,"warnings":N,
     "infos":N}]. Span fields are omitted for system-level findings.
     Version history: v1 had no ["schema"] field. *)
 
-val diag_of_json : Json.t -> Diag.t option
-val report_of_json : Json.t -> Diag.t list option
+val diag_of_json : Sg_util.Json.t -> Diag.t option
+val report_of_json : Sg_util.Json.t -> Diag.t list option
 (** Inverse of {!report_to_json}, for round-trip checks and tooling. *)

@@ -39,6 +39,7 @@ module Machine = Superglue.Machine
 module Model = Superglue.Model
 module Compiler = Superglue.Compiler
 module Diag = Superglue.Diag
+module Json = Sg_util.Json
 
 type verdict = Isolated | Serialized | Racy
 

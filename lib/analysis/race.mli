@@ -85,6 +85,6 @@ val render : report -> string
     walk interval structure, with a one-line census and the findings
     appended. *)
 
-val report_to_json : report -> Json.t
+val report_to_json : report -> Sg_util.Json.t
 (** Schema ["sgc-race"], version 1: walks, entries, the verdict census
     and the SG021–SG025 diagnostics. *)

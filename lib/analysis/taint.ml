@@ -26,6 +26,7 @@ module Machine = Superglue.Machine
 module Model = Superglue.Model
 module Compiler = Superglue.Compiler
 module Diag = Superglue.Diag
+module Json = Sg_util.Json
 
 type verdict = Masked | Detected | Silent
 

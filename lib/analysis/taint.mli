@@ -79,7 +79,7 @@ val analyze :
 val render : report -> string
 (** Human-readable verdict table plus findings. *)
 
-val report_to_json : report -> Json.t
+val report_to_json : report -> Sg_util.Json.t
 (** Schema "sgc-taint" v1:
     [{"version":1,"schema":"sgc-taint","entries":[{"iface","fn",
     "field","kind","verdict","reason"}...],"edges":N,"fields":N,

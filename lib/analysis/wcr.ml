@@ -26,6 +26,7 @@ module Model = Superglue.Model
 module Ir = Superglue.Ir
 module Cost = Sg_kernel.Cost
 module Usage = Sg_kernel.Usage
+module Json = Sg_util.Json
 
 type params = {
   p_cost : Cost.t;

@@ -7,7 +7,7 @@
    equal scenarios produce byte-identical artifacts, which the CI gate
    checks across shrink parallelism levels. *)
 
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 let schema = "superglue-dst"
 let version = 1
@@ -48,56 +48,45 @@ let to_json a =
 
 let to_string a = Json.to_string (to_json a)
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "artifact field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "artifact field %s missing or not a string" field
-
 let workload_of_json j =
-  match Json.member "kind" j with
-  | Some (Json.Str "ops") -> (
+  match Json.str_member "kind" j with
+  | "ops" -> (
       match Json.member "ops" j with
       | Some (Json.List ops) -> Exec.Ops (List.map Gen.op_of_json ops)
-      | _ -> fail "ops workload lacks an \"ops\" array")
-  | Some (Json.Str "classic") ->
+      | _ -> Json.fail "ops workload lacks an \"ops\" array")
+  | "classic" ->
       Exec.Classic
         {
-          iface = get_str j "iface";
-          iters = get_int j "iters";
-          knob = get_int j "knob";
+          iface = Json.str_member "iface" j;
+          iters = Json.int_member "iters" j;
+          knob = Json.int_member "knob" j;
         }
-  | _ -> fail "workload kind missing or unknown"
+  | k -> Json.fail "unknown workload kind %s" k
 
 let of_json j =
-  (match Json.member "schema" j with
-  | Some (Json.Str s) when s = schema -> ()
-  | _ -> fail "not a %s artifact" schema);
-  (match Json.member "version" j with
-  | Some (Json.Int v) when v = version -> ()
-  | Some (Json.Int v) -> fail "unsupported artifact version %d" v
-  | _ -> fail "artifact lacks a version");
+  if Json.member "schema" j <> Some (Json.Str schema) then
+    Json.fail "not a %s artifact" schema;
+  let v = Json.int_member "version" j in
+  if v <> version then Json.fail "unsupported artifact version %d" v;
   let plan =
     match Json.member "plan" j with
     | Some (Json.List fs) -> List.map Plan.fault_of_json fs
-    | _ -> fail "artifact lacks a \"plan\" array"
+    | _ -> Json.fail "artifact lacks a \"plan\" array"
   in
   let workload =
     match Json.member "workload" j with
     | Some w -> workload_of_json w
-    | None -> fail "artifact lacks a \"workload\""
+    | None -> Json.fail "artifact lacks a \"workload\""
   in
   {
-    af_sut = get_str j "sut";
-    af_verdict = get_str j "verdict";
+    af_sut = Json.str_member "sut" j;
+    af_verdict = Json.str_member "verdict" j;
     af_scenario =
-      { Exec.sc_seed = get_int j "seed"; sc_workload = workload; sc_plan = plan };
+      {
+        Exec.sc_seed = Json.int_member "seed" j;
+        sc_workload = workload;
+        sc_plan = plan;
+      };
   }
 
 let of_string s = of_json (Json.parse s)

@@ -3,8 +3,8 @@
    Every draw comes from the explicit [Rng.t] the caller passes, in one
    fixed left-to-right order, so a sequence is a pure function of
    (mix, seed): the replay artifact only needs the seed. All mix knobs
-   are integer weights — the artifact carrier ({!Sg_analysis.Json}) has
-   no floats, and integer weights compare exactly across platforms. *)
+   are integer weights because integer weights compare exactly across
+   platforms. *)
 
 module Rng = Sg_util.Rng
 
@@ -158,7 +158,7 @@ let op_label = function
 
 (* ---------- JSON (replay artifacts) ---------- *)
 
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 let op_to_json op =
   let o name fields = Json.Obj (("op", Json.Str name) :: fields) in
@@ -179,36 +179,19 @@ let op_to_json op =
   | Desc_burst { count } -> o "desc_burst" [ ("count", Json.Int count) ]
   | Restart { service } -> o "restart" [ ("service", Json.Str service) ]
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "op field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "op field %s missing or not a string" field
-
 let op_of_json j =
-  match Json.member "op" j with
-  | Some (Json.Str name) -> (
-      match name with
-      | "sched_pingpong" -> Sched_pingpong { rounds = get_int j "rounds" }
-      | "mm_cycle" -> Mm_cycle { fanout = get_int j "fanout" }
-      | "fs_open" -> Fs_open { path = get_int j "path" }
-      | "fs_write" ->
-          Fs_write { path = get_int j "path"; byte = get_int j "byte" }
-      | "fs_read" -> Fs_read { path = get_int j "path" }
-      | "fs_close" -> Fs_close { path = get_int j "path" }
-      | "lock_cycle" ->
-          Lock_cycle { cycles = get_int j "cycles"; holds = get_int j "holds" }
-      | "evt_chain" -> Evt_chain { triggers = get_int j "triggers" }
-      | "timer_tick" ->
-          Timer_tick
-            { periods = get_int j "periods"; period_ns = get_int j "period_ns" }
-      | "desc_burst" -> Desc_burst { count = get_int j "count" }
-      | "restart" -> Restart { service = get_str j "service" }
-      | other -> fail "unknown op %s" other)
-  | _ -> fail "op object lacks an \"op\" field"
+  let int k = Json.int_member k j in
+  match Json.str_member "op" j with
+  | "sched_pingpong" -> Sched_pingpong { rounds = int "rounds" }
+  | "mm_cycle" -> Mm_cycle { fanout = int "fanout" }
+  | "fs_open" -> Fs_open { path = int "path" }
+  | "fs_write" -> Fs_write { path = int "path"; byte = int "byte" }
+  | "fs_read" -> Fs_read { path = int "path" }
+  | "fs_close" -> Fs_close { path = int "path" }
+  | "lock_cycle" -> Lock_cycle { cycles = int "cycles"; holds = int "holds" }
+  | "evt_chain" -> Evt_chain { triggers = int "triggers" }
+  | "timer_tick" ->
+      Timer_tick { periods = int "periods"; period_ns = int "period_ns" }
+  | "desc_burst" -> Desc_burst { count = int "count" }
+  | "restart" -> Restart { service = Json.str_member "service" j }
+  | other -> Json.fail "unknown op %s" other

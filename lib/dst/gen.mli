@@ -4,8 +4,8 @@
     six system services, interpreted sequentially by {!Exec}. Every draw
     comes from the explicit {!Sg_util.Rng.t} in a fixed order, so the
     sequence is a pure function of (mix, rng state) and a replay
-    artifact needs only the seed. Mix knobs are integer weights (the
-    {!Sg_analysis.Json} artifact carrier has no floats). *)
+    artifact needs only the seed. Mix knobs are integer weights, which
+    compare exactly across platforms. *)
 
 type op =
   | Sched_pingpong of { rounds : int }
@@ -69,6 +69,6 @@ val op_label : op -> string
 val path_name : int -> string
 (** Pool index to RamFS file name. *)
 
-val op_to_json : op -> Sg_analysis.Json.t
-val op_of_json : Sg_analysis.Json.t -> op
-(** @raise Sg_analysis.Json.Parse_error on malformed input. *)
+val op_to_json : op -> Sg_util.Json.t
+val op_of_json : Sg_util.Json.t -> op
+(** @raise Sg_util.Json.Parse_error on malformed input. *)

@@ -8,7 +8,7 @@
 
 module Rng = Sg_util.Rng
 module Reg = Sg_kernel.Reg
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 
 type fault =
   | Flip of {
@@ -180,58 +180,34 @@ let fault_to_json f =
         @ (if pb_every then [ ("every", Json.Bool true) ] else [])
         @ if pb_walk then [ ("walk", Json.Bool true) ] else [])
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-
-let get_int j field =
-  match Json.member field j with
-  | Some (Json.Int n) -> n
-  | _ -> fail "fault field %s missing or not an integer" field
-
-let get_str j field =
-  match Json.member field j with
-  | Some (Json.Str s) -> s
-  | _ -> fail "fault field %s missing or not a string" field
-
 let fault_of_json j =
-  match Json.member "fault" j with
-  | Some (Json.Str name) -> (
-      match name with
-      | "flip" ->
-          let reg = get_str j "reg" in
-          if Reg.of_string reg = None then fail "unknown register %s" reg;
-          Flip
-            {
-              fl_service = get_str j "service";
-              fl_nth = get_int j "nth";
-              fl_reg = reg;
-              fl_bit = get_int j "bit";
-              fl_at_pm = get_int j "at_pm";
-            }
-      | "storage_write" -> Storage_write { sw_nth = get_int j "nth" }
-      | "crash" ->
-          Crash { cr_service = get_str j "service"; cr_nth = get_int j "nth" }
-      | "double" ->
-          Double
-            {
-              db_service = get_str j "service";
-              db_nth = get_int j "nth";
-              db_gap = get_int j "gap";
-            }
-      | "perturb" ->
-          (* absent flags parse as false: old artifacts stay loadable *)
-          let get_flag field =
-            match Json.member field j with
-            | Some (Json.Bool b) -> b
-            | _ -> false
-          in
-          Perturb
-            {
-              pb_iface = get_str j "service";
-              pb_fn = get_str j "fn";
-              pb_field = get_str j "field";
-              pb_nth = get_int j "nth";
-              pb_every = get_flag "every";
-              pb_walk = get_flag "walk";
-            }
-      | other -> fail "unknown fault %s" other)
-  | _ -> fail "fault object lacks a \"fault\" field"
+  let int k = Json.int_member k j and str k = Json.str_member k j in
+  match str "fault" with
+  | "flip" ->
+      let reg = str "reg" in
+      if Reg.of_string reg = None then Json.fail "unknown register %s" reg;
+      Flip
+        {
+          fl_service = str "service";
+          fl_nth = int "nth";
+          fl_reg = reg;
+          fl_bit = int "bit";
+          fl_at_pm = int "at_pm";
+        }
+  | "storage_write" -> Storage_write { sw_nth = int "nth" }
+  | "crash" -> Crash { cr_service = str "service"; cr_nth = int "nth" }
+  | "double" ->
+      Double { db_service = str "service"; db_nth = int "nth"; db_gap = int "gap" }
+  | "perturb" ->
+      (* absent flags parse as false: old artifacts stay loadable *)
+      let flag k = Json.member k j = Some (Json.Bool true) in
+      Perturb
+        {
+          pb_iface = str "service";
+          pb_fn = str "fn";
+          pb_field = str "field";
+          pb_nth = int "nth";
+          pb_every = flag "every";
+          pb_walk = flag "walk";
+        }
+  | other -> Json.fail "unknown fault %s" other

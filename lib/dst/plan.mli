@@ -77,6 +77,6 @@ val generate :
 val fault_service : fault -> string option
 val fault_label : fault -> string
 
-val fault_to_json : fault -> Sg_analysis.Json.t
-val fault_of_json : Sg_analysis.Json.t -> fault
-(** @raise Sg_analysis.Json.Parse_error on malformed input. *)
+val fault_to_json : fault -> Sg_util.Json.t
+val fault_of_json : Sg_util.Json.t -> fault
+(** @raise Sg_util.Json.Parse_error on malformed input. *)

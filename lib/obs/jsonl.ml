@@ -1,327 +1,183 @@
-(* JSON-lines codec for events. One flat object per line; values are
-   strings, ints and bools only, so a tiny hand-rolled parser suffices
-   (no external JSON dependency). *)
+(* JSON-lines codec for events: one flat object per line, mapped to and
+   from {!Sg_util.Json} values (which own the escaping and parsing). *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Sg_util.Json
 
-type field = S of string | I of int | B of bool
-
-let fields_of_kind = function
+let fields_of_kind : Event.kind -> (string * Json.t) list =
+  let open Json in
+  function
   | Event.Span_begin { span; client; server; fn } ->
-      [ ("span", I span); ("client", I client); ("server", I server); ("fn", S fn) ]
+      [
+        ("span", Int span);
+        ("client", Int client);
+        ("server", Int server);
+        ("fn", Str fn);
+      ]
   | Event.Span_end { span; server; ok } ->
-      [ ("span", I span); ("server", I server); ("ok", B ok) ]
-  | Event.Crash { cid; detector } -> [ ("cid", I cid); ("detector", S detector) ]
+      [ ("span", Int span); ("server", Int server); ("ok", Bool ok) ]
+  | Event.Crash { cid; detector } -> [ ("cid", Int cid); ("detector", Str detector) ]
   | Event.Reboot { cid; epoch; image_kb; cost_ns } ->
-      [ ("cid", I cid); ("epoch", I epoch); ("image_kb", I image_kb); ("cost_ns", I cost_ns) ]
-  | Event.Divert { cid; victim } -> [ ("cid", I cid); ("victim", I victim) ]
-  | Event.Upcall { cid; fn } -> [ ("cid", I cid); ("fn", S fn) ]
-  | Event.Reflect { cid; fn } -> [ ("cid", I cid); ("fn", S fn) ]
+      [
+        ("cid", Int cid);
+        ("epoch", Int epoch);
+        ("image_kb", Int image_kb);
+        ("cost_ns", Int cost_ns);
+      ]
+  | Event.Divert { cid; victim } -> [ ("cid", Int cid); ("victim", Int victim) ]
+  | Event.Upcall { cid; fn } -> [ ("cid", Int cid); ("fn", Str fn) ]
+  | Event.Reflect { cid; fn } -> [ ("cid", Int cid); ("fn", Str fn) ]
   | Event.Walk_begin { client; server; iface; desc; reason } ->
       [
-        ("client", I client);
-        ("server", I server);
-        ("iface", S iface);
-        ("desc", I desc);
-        ("reason", S (Event.reason_to_string reason));
+        ("client", Int client);
+        ("server", Int server);
+        ("iface", Str iface);
+        ("desc", Int desc);
+        ("reason", Str (Event.reason_to_string reason));
       ]
   | Event.Walk_end { client; server; ok } ->
-      [ ("client", I client); ("server", I server); ("ok", B ok) ]
+      [ ("client", Int client); ("server", Int server); ("ok", Bool ok) ]
   | Event.Recover_begin { client; server; iface } ->
-      [ ("client", I client); ("server", I server); ("iface", S iface) ]
+      [ ("client", Int client); ("server", Int server); ("iface", Str iface) ]
   | Event.Recover_end { client; server } ->
-      [ ("client", I client); ("server", I server) ]
+      [ ("client", Int client); ("server", Int server) ]
   | Event.Storage_op { op; space; id } ->
-      [ ("op", S op); ("space", S space); ("id", I id) ]
+      [ ("op", Str op); ("space", Str space); ("id", Int id) ]
   | Event.Inject { cid; fn; reg; bit; outcome } ->
       [
-        ("cid", I cid);
-        ("fn", S fn);
-        ("reg", S reg);
-        ("bit", I bit);
-        ("outcome", S outcome);
+        ("cid", Int cid);
+        ("fn", Str fn);
+        ("reg", Str reg);
+        ("bit", Int bit);
+        ("outcome", Str outcome);
       ]
   | Event.Http { cid; path; status } ->
-      [ ("cid", I cid); ("path", S path); ("status", I status) ]
+      [ ("cid", Int cid); ("path", Str path); ("status", Int status) ]
   | Event.Http_req { cid; client; arrival_ns; start_ns; finish_ns; status; outcome }
     ->
       [
-        ("cid", I cid);
-        ("client", I client);
-        ("arrival_ns", I arrival_ns);
-        ("start_ns", I start_ns);
-        ("finish_ns", I finish_ns);
-        ("status", I status);
-        ("outcome", S outcome);
+        ("cid", Int cid);
+        ("client", Int client);
+        ("arrival_ns", Int arrival_ns);
+        ("start_ns", Int start_ns);
+        ("finish_ns", Int finish_ns);
+        ("status", Int status);
+        ("outcome", Str outcome);
       ]
   | Event.Perturb { iface; fn; action; in_walk } ->
       [
-        ("iface", S iface);
-        ("fn", S fn);
-        ("action", S action);
-        ("in_walk", B in_walk);
+        ("iface", Str iface);
+        ("fn", Str fn);
+        ("action", Str action);
+        ("in_walk", Bool in_walk);
       ]
-  | Event.Note { name; data } -> [ ("name", S name); ("data", S data) ]
+  | Event.Note { name; data } -> [ ("name", Str name); ("data", Str data) ]
 
 let to_string (e : Event.t) =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let put k v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_char b '"';
-    Buffer.add_string b k;
-    Buffer.add_string b "\":";
-    match v with
-    | S s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | I i -> Buffer.add_string b (string_of_int i)
-    | B bv -> Buffer.add_string b (if bv then "true" else "false")
-  in
-  put "seq" (I e.Event.seq);
-  put "at_ns" (I e.Event.at_ns);
-  put "tid" (I e.Event.tid);
-  put "kind" (S (Event.kind_name e.Event.kind));
-  List.iter (fun (k, v) -> put k v) (fields_of_kind e.Event.kind);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       (("seq", Json.Int e.Event.seq)
+       :: ("at_ns", Json.Int e.Event.at_ns)
+       :: ("tid", Json.Int e.Event.tid)
+       :: ("kind", Json.Str (Event.kind_name e.Event.kind))
+       :: fields_of_kind e.Event.kind))
 
 (* {2 Parsing} *)
 
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
-
-(* parse one flat object of string/int/bool fields *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail "expected %C at %d in %s" c !pos line
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string in %s" line
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "dangling escape in %s" line
-             else
-               match line.[!pos] with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | '/' -> Buffer.add_char b '/'
-               | 'n' -> Buffer.add_char b '\n'
-               | 'r' -> Buffer.add_char b '\r'
-               | 't' -> Buffer.add_char b '\t'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "short \\u escape in %s" line;
-                   let hex = String.sub line (!pos + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape %s" hex
-                   in
-                   (* emitted escapes are all < 0x20; keep it byte-sized *)
-                   Buffer.add_char b (Char.chr (code land 0xff));
-                   pos := !pos + 4
-               | c -> fail "bad escape \\%c in %s" c line);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          B true
-        end
-        else fail "bad literal at %d in %s" !pos line
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          B false
-        end
-        else fail "bad literal at %d in %s" !pos line
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        if !pos = start then fail "bad number at %d in %s" start line;
-        I (int_of_string (String.sub line start (!pos - start)))
-    | _ -> fail "bad value at %d in %s" !pos line
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  (match peek () with
-  | Some '}' -> incr pos
-  | _ ->
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}' at %d in %s" !pos line
-      in
-      members ());
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes at %d in %s" !pos line;
-  List.rev !fields
-
-let get fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> fail "missing field %s" k
-
-let int_f fields k =
-  match get fields k with I i -> i | _ -> fail "field %s: expected int" k
-
-let str_f fields k =
-  match get fields k with S s -> s | _ -> fail "field %s: expected string" k
-
-let bool_f fields k =
-  match get fields k with B b -> b | _ -> fail "field %s: expected bool" k
-
 let of_string line =
-  let f = parse_fields line in
+  let j = Json.parse line in
+  let int k = Json.int_member k j
+  and str k = Json.str_member k j
+  and bool k = Json.bool_member k j in
   let kind =
-    match str_f f "kind" with
+    match str "kind" with
     | "span_begin" ->
         Event.Span_begin
           {
-            span = int_f f "span";
-            client = int_f f "client";
-            server = int_f f "server";
-            fn = str_f f "fn";
+            span = int "span";
+            client = int "client";
+            server = int "server";
+            fn = str "fn";
           }
     | "span_end" ->
         Event.Span_end
-          { span = int_f f "span"; server = int_f f "server"; ok = bool_f f "ok" }
+          { span = int "span"; server = int "server"; ok = bool "ok" }
     | "crash" ->
-        Event.Crash { cid = int_f f "cid"; detector = str_f f "detector" }
+        Event.Crash { cid = int "cid"; detector = str "detector" }
     | "reboot" ->
         Event.Reboot
           {
-            cid = int_f f "cid";
-            epoch = int_f f "epoch";
-            image_kb = int_f f "image_kb";
-            cost_ns = int_f f "cost_ns";
+            cid = int "cid";
+            epoch = int "epoch";
+            image_kb = int "image_kb";
+            cost_ns = int "cost_ns";
           }
-    | "divert" -> Event.Divert { cid = int_f f "cid"; victim = int_f f "victim" }
-    | "upcall" -> Event.Upcall { cid = int_f f "cid"; fn = str_f f "fn" }
-    | "reflect" -> Event.Reflect { cid = int_f f "cid"; fn = str_f f "fn" }
+    | "divert" -> Event.Divert { cid = int "cid"; victim = int "victim" }
+    | "upcall" -> Event.Upcall { cid = int "cid"; fn = str "fn" }
+    | "reflect" -> Event.Reflect { cid = int "cid"; fn = str "fn" }
     | "walk_begin" ->
-        let reason_s = str_f f "reason" in
+        let reason_s = str "reason" in
         let reason =
           match Event.reason_of_string reason_s with
           | Some r -> r
-          | None -> fail "unknown walk reason %s" reason_s
+          | None -> Json.fail "unknown walk reason %s" reason_s
         in
         Event.Walk_begin
           {
-            client = int_f f "client";
-            server = int_f f "server";
-            iface = str_f f "iface";
-            desc = int_f f "desc";
+            client = int "client";
+            server = int "server";
+            iface = str "iface";
+            desc = int "desc";
             reason;
           }
     | "walk_end" ->
         Event.Walk_end
-          { client = int_f f "client"; server = int_f f "server"; ok = bool_f f "ok" }
+          { client = int "client"; server = int "server"; ok = bool "ok" }
     | "recover_begin" ->
         Event.Recover_begin
-          { client = int_f f "client"; server = int_f f "server"; iface = str_f f "iface" }
+          { client = int "client"; server = int "server"; iface = str "iface" }
     | "recover_end" ->
-        Event.Recover_end { client = int_f f "client"; server = int_f f "server" }
+        Event.Recover_end { client = int "client"; server = int "server" }
     | "storage_op" ->
         Event.Storage_op
-          { op = str_f f "op"; space = str_f f "space"; id = int_f f "id" }
+          { op = str "op"; space = str "space"; id = int "id" }
     | "inject" ->
         Event.Inject
           {
-            cid = int_f f "cid";
-            fn = str_f f "fn";
-            reg = str_f f "reg";
-            bit = int_f f "bit";
-            outcome = str_f f "outcome";
+            cid = int "cid";
+            fn = str "fn";
+            reg = str "reg";
+            bit = int "bit";
+            outcome = str "outcome";
           }
     | "http" ->
         Event.Http
-          { cid = int_f f "cid"; path = str_f f "path"; status = int_f f "status" }
+          { cid = int "cid"; path = str "path"; status = int "status" }
     | "http_req" ->
         Event.Http_req
           {
-            cid = int_f f "cid";
-            client = int_f f "client";
-            arrival_ns = int_f f "arrival_ns";
-            start_ns = int_f f "start_ns";
-            finish_ns = int_f f "finish_ns";
-            status = int_f f "status";
-            outcome = str_f f "outcome";
+            cid = int "cid";
+            client = int "client";
+            arrival_ns = int "arrival_ns";
+            start_ns = int "start_ns";
+            finish_ns = int "finish_ns";
+            status = int "status";
+            outcome = str "outcome";
           }
     | "perturb" ->
         Event.Perturb
           {
-            iface = str_f f "iface";
-            fn = str_f f "fn";
-            action = str_f f "action";
-            in_walk = bool_f f "in_walk";
+            iface = str "iface";
+            fn = str "fn";
+            action = str "action";
+            in_walk = bool "in_walk";
           }
-    | "note" -> Event.Note { name = str_f f "name"; data = str_f f "data" }
-    | k -> fail "unknown event kind %s" k
+    | "note" -> Event.Note { name = str "name"; data = str "data" }
+    | k -> Json.fail "unknown event kind %s" k
   in
   {
-    Event.seq = int_f f "seq";
-    at_ns = int_f f "at_ns";
-    tid = int_f f "tid";
+    Event.seq = int "seq";
+    at_ns = int "at_ns";
+    tid = int "tid";
     kind;
   }
 
@@ -333,11 +189,17 @@ let dump oc events =
     events
 
 let load ic =
-  let rec go acc =
+  let rec go n acc =
     match input_line ic with
     | line ->
-        let acc = if String.trim line = "" then acc else of_string line :: acc in
-        go acc
+        let acc =
+          if String.trim line = "" then acc
+          else
+            match of_string line with
+            | e -> e :: acc
+            | exception Json.Parse_error m -> Json.fail "line %d: %s" n m
+        in
+        go (n + 1) acc
     | exception End_of_file -> List.rev acc
   in
-  go []
+  go 1 []

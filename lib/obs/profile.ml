@@ -287,108 +287,72 @@ let pp ppf (eps : E.t list) =
 let json_version = 1
 
 let to_json ?(source = "") (eps : E.t list) =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    Buffer.add_string b (Jsonl.escape s);
-    Buffer.add_char b '"'
+  let open Sg_util.Json in
+  let s = summarize eps in
+  let episode ep =
+    let p = phases ep in
+    Obj
+      ([
+         ("cid", Int ep.E.ep_cid);
+         ("seq", Int ep.E.ep_seq);
+         ("detect_ns", Int ep.E.ep_detect_ns);
+         ("end_ns", Int ep.E.ep_end_ns);
+         ("span_ns", Int (E.span_ns ep));
+         ("complete", Bool ep.E.ep_complete);
+       ]
+      @ (match ep.E.ep_trigger with
+        | None -> []
+        | Some tr ->
+            [
+              ( "trigger",
+                Obj
+                  [
+                    ("fn", Str tr.E.tr_fn);
+                    ("reg", Str tr.E.tr_reg);
+                    ("bit", Int tr.E.tr_bit);
+                    ("outcome", Str tr.E.tr_outcome);
+                  ] );
+            ])
+      @ [
+          ( "phases",
+            Obj
+              [
+                ("detect_reboot_ns", Int p.ph_detect_reboot_ns);
+                ("reboot_walks_ns", Int p.ph_reboot_walks_ns);
+                ("walks_access_ns", Int p.ph_walks_access_ns);
+              ] );
+          ("critical_path_ns", Int (critical_path_ns ep));
+          ( "critical_path",
+            List
+              (List.map
+                 (fun n ->
+                   Obj
+                     [
+                       ("node", Str (E.node_label n));
+                       ("dur_ns", Int (E.duration_ns n));
+                     ])
+                 (critical_path ep)) );
+          ("nodes", Int (List.length ep.E.ep_nodes));
+        ])
   in
-  let field first k =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    str k;
-    Buffer.add_char b ':'
+  let attr a =
+    Obj
+      [
+        ("cid", Int a.at_cid);
+        ("reboot_ns", Int a.at_reboot_ns);
+        ("walk_ns", Int a.at_walk_ns);
+        ("span_ns", Int a.at_span_ns);
+        ("total_ns", Int (attr_total a));
+        ("crashes", Int a.at_crashes);
+      ]
   in
-  let obj f =
-    Buffer.add_char b '{';
-    let first = ref true in
-    f (field first);
-    Buffer.add_char b '}'
-  in
-  let arr items f =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        f x)
-      items;
-    Buffer.add_char b ']'
-  in
-  let int i = Buffer.add_string b (string_of_int i) in
-  let bool v = Buffer.add_string b (if v then "true" else "false") in
-  obj (fun fld ->
-      fld "version";
-      int json_version;
-      if source <> "" then begin
-        fld "source";
-        str source
-      end;
-      let s = summarize eps in
-      fld "episodes_total";
-      int s.ps_episodes;
-      fld "episodes_complete";
-      int s.ps_complete;
-      fld "episodes";
-      arr eps (fun ep ->
-          let p = phases ep in
-          obj (fun fld ->
-              fld "cid";
-              int ep.E.ep_cid;
-              fld "seq";
-              int ep.E.ep_seq;
-              fld "detect_ns";
-              int ep.E.ep_detect_ns;
-              fld "end_ns";
-              int ep.E.ep_end_ns;
-              fld "span_ns";
-              int (E.span_ns ep);
-              fld "complete";
-              bool ep.E.ep_complete;
-              (match ep.E.ep_trigger with
-              | None -> ()
-              | Some tr ->
-                  fld "trigger";
-                  obj (fun fld ->
-                      fld "fn";
-                      str tr.E.tr_fn;
-                      fld "reg";
-                      str tr.E.tr_reg;
-                      fld "bit";
-                      int tr.E.tr_bit;
-                      fld "outcome";
-                      str tr.E.tr_outcome));
-              fld "phases";
-              obj (fun fld ->
-                  fld "detect_reboot_ns";
-                  int p.ph_detect_reboot_ns;
-                  fld "reboot_walks_ns";
-                  int p.ph_reboot_walks_ns;
-                  fld "walks_access_ns";
-                  int p.ph_walks_access_ns);
-              fld "critical_path_ns";
-              int (critical_path_ns ep);
-              fld "critical_path";
-              arr (critical_path ep) (fun n ->
-                  obj (fun fld ->
-                      fld "node";
-                      str (E.node_label n);
-                      fld "dur_ns";
-                      int (E.duration_ns n)));
-              fld "nodes";
-              int (List.length ep.E.ep_nodes)));
-      fld "attribution";
-      arr (attribution eps) (fun a ->
-          obj (fun fld ->
-              fld "cid";
-              int a.at_cid;
-              fld "reboot_ns";
-              int a.at_reboot_ns;
-              fld "walk_ns";
-              int a.at_walk_ns;
-              fld "span_ns";
-              int a.at_span_ns;
-              fld "total_ns";
-              int (attr_total a);
-              fld "crashes";
-              int a.at_crashes)));
-  Buffer.contents b
+  to_string
+    (Obj
+       ((("version", Int json_version)
+        :: (if source = "" then [] else [ ("source", Str source) ]))
+       @ [
+           ("episodes_total", Int s.ps_episodes);
+           ("episodes_complete", Int s.ps_complete);
+           ("episodes", List (List.map episode eps));
+           ("attribution", List (List.map attr (attribution eps)));
+         ]))

@@ -196,52 +196,65 @@ let served_rps t =
 
 let json_version = 1
 
-let hist_json b h =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"n\":%d,\"mean_ns\":%.1f,\"stddev_ns\":%.1f,\"min_ns\":%d,\"p50_ns\":%d,\"p90_ns\":%d,\"p99_ns\":%d,\"p999_ns\":%d,\"max_ns\":%d}"
-       (Hist.n h) (Hist.mean h) (Hist.stddev h) (Hist.min_value h)
-       (Hist.percentile h 0.50)
-       (Hist.percentile h 0.90)
-       (Hist.percentile h 0.99)
-       (Hist.percentile h 0.999)
-       (Hist.max_value h))
+let hist_json h =
+  let open Sg_util.Json in
+  Obj
+    [
+      ("n", Int (Hist.n h));
+      ("mean_ns", Fixed (1, Hist.mean h));
+      ("stddev_ns", Fixed (1, Hist.stddev h));
+      ("min_ns", Int (Hist.min_value h));
+      ("p50_ns", Int (Hist.percentile h 0.50));
+      ("p90_ns", Int (Hist.percentile h 0.90));
+      ("p99_ns", Int (Hist.percentile h 0.99));
+      ("p999_ns", Int (Hist.percentile h 0.999));
+      ("max_ns", Int (Hist.max_value h));
+    ]
 
-let to_json t =
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  add "{";
-  add
-    (Printf.sprintf
-       "\"offered\":%d,\"served\":%d,\"errors\":%d,\"dropped\":%d,\"failed\":%d,"
-       t.tj_offered t.tj_served t.tj_errors t.tj_dropped t.tj_failed);
-  add
-    (Printf.sprintf "\"window_ns\":%d,\"offered_rps\":%.1f,\"served_rps\":%.1f,"
-       t.tj_window_ns (offered_rps t) (served_rps t));
-  add
-    (Printf.sprintf "\"queue\":{\"max\":%d,\"mean\":%.1f,\"p99\":%d},"
-       t.tj_queue_max (Hist.mean t.tj_queue_depth)
-       (Hist.percentile t.tj_queue_depth 0.99));
-  add "\"latency\":{\"all\":";
-  hist_json b t.tj_all;
-  add ",\"clean\":";
-  hist_json b t.tj_clean;
-  add ",\"shadowed\":";
-  hist_json b t.tj_shadowed;
-  add "},";
-  add (Printf.sprintf "\"episodes_total\":%d," (List.length t.tj_episodes));
-  add "\"episodes\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"cid\":%d,\"detect_ns\":%d,\"end_ns\":%d,\"complete\":%b,\"requests\":%d,\"p99_ns\":%d,\"max_ns\":%d,\"mean_ns\":%.1f}"
-           e.ei_cid e.ei_detect_ns e.ei_end_ns e.ei_complete e.ei_requests
-           e.ei_p99_ns e.ei_max_ns e.ei_mean_ns))
-    t.tj_episodes;
-  add "]}";
-  Buffer.contents b
+let json t =
+  let open Sg_util.Json in
+  let impact e =
+    Obj
+      [
+        ("cid", Int e.ei_cid);
+        ("detect_ns", Int e.ei_detect_ns);
+        ("end_ns", Int e.ei_end_ns);
+        ("complete", Bool e.ei_complete);
+        ("requests", Int e.ei_requests);
+        ("p99_ns", Int e.ei_p99_ns);
+        ("max_ns", Int e.ei_max_ns);
+        ("mean_ns", Fixed (1, e.ei_mean_ns));
+      ]
+  in
+  Obj
+    [
+      ("offered", Int t.tj_offered);
+      ("served", Int t.tj_served);
+      ("errors", Int t.tj_errors);
+      ("dropped", Int t.tj_dropped);
+      ("failed", Int t.tj_failed);
+      ("window_ns", Int t.tj_window_ns);
+      ("offered_rps", Fixed (1, offered_rps t));
+      ("served_rps", Fixed (1, served_rps t));
+      ( "queue",
+        Obj
+          [
+            ("max", Int t.tj_queue_max);
+            ("mean", Fixed (1, Hist.mean t.tj_queue_depth));
+            ("p99", Int (Hist.percentile t.tj_queue_depth 0.99));
+          ] );
+      ( "latency",
+        Obj
+          [
+            ("all", hist_json t.tj_all);
+            ("clean", hist_json t.tj_clean);
+            ("shadowed", hist_json t.tj_shadowed);
+          ] );
+      ("episodes_total", Int (List.length t.tj_episodes));
+      ("episodes", List (List.map impact t.tj_episodes));
+    ]
+
+let to_json t = Sg_util.Json.to_string (json t)
 
 let pp_hist_row ppf (label, h) =
   if Hist.n h = 0 then Format.fprintf ppf "  %-9s (empty)@." label

@@ -66,10 +66,13 @@ val served_rps : t -> float
 
 val json_version : int
 
+val json : t -> Sg_util.Json.t
+(** One JSON object: counts, throughput, queue profile, per-population
+    latency summaries (p50/p90/p99/p999, mean/stddev) and the
+    per-episode impact rows. Embedded as the ["join"] member of the
+    [sg-reqjoin] and [sg-webbench] reports. *)
+
 val to_json : t -> string
-(** One JSON object (no trailing newline): counts, throughput, queue
-    profile, per-population latency summaries (p50/p90/p99/p999,
-    mean/stddev) and the per-episode impact rows. Embedded verbatim by
-    the [sg-webbench] report. *)
+(** [json] rendered compactly (no trailing newline). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,12 +1,14 @@
-(* A minimal generic JSON value, printer and parser — just enough for
-   the lint report (`sgc lint --json`) and its round-trip tests. The
-   observability layer's Jsonl codec is event-specific, so the analyzer
-   carries its own value type rather than growing a dependency. *)
+(* The repository's one JSON codec: a generic value, a compact printer
+   and an integer-only parser. Every report writer (the sgc reports,
+   event JSON-lines, episode profiles, the request join, the web
+   benchmark and DST artifacts) builds a [t] and prints it here, so the
+   escaping and layout rules live in this file alone. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
+  | Fixed of int * float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -33,6 +35,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
+  | Fixed (decimals, f) -> Buffer.add_string buf (Printf.sprintf "%.*f" decimals f)
   | Str s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);
@@ -236,12 +239,14 @@ let parse s =
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
+let typed_member what read key j =
+  match Option.bind (member key j) read with
+  | Some v -> v
+  | None -> fail "field %s missing or not %s" key what
+
+let int_member = typed_member "an integer" (function Int i -> Some i | _ -> None)
+let str_member = typed_member "a string" (function Str s -> Some s | _ -> None)
+let bool_member = typed_member "a boolean" (function Bool b -> Some b | _ -> None)
+
 let versioned_report ~schema ~version fields =
   Obj (("version", Int version) :: ("schema", Str schema) :: fields)
-
-(* The exit-code convention every report CLI (`sgc lint`, `sgc bound`,
-   `sgc taint`, `sgc race`) shares: 0 clean, 1 findings, 2 the
-   compiler rejected the input. *)
-let exit_ok = 0
-let exit_findings = 1
-let exit_compile_error = 2

@@ -17,7 +17,7 @@ module Wcr = Sg_analysis.Wcr
 module Mutate = Sg_analysis.Mutate
 module Taint = Sg_analysis.Taint
 module Race = Sg_analysis.Race
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 module Cost = Sg_kernel.Cost
 
 let contains hay needle =
@@ -284,6 +284,34 @@ let test_json_parse_escapes () =
   in
   Alcotest.(check bool) "escape roundtrip" true
     (Json.parse (Json.to_string j) = j)
+
+(* Fixed prints exactly what the %.1f / %.2f report fields printed
+   before they became Json values, rounding and non-finite values
+   included. *)
+let test_json_fixed () =
+  List.iter
+    (fun (d, x, expect) ->
+      Alcotest.(check string)
+        (Printf.sprintf "Fixed (%d, %h)" d x)
+        expect
+        (Json.to_string (Json.Fixed (d, x)));
+      Alcotest.(check string) "matches Printf" (Printf.sprintf "%.*f" d x) expect)
+    [
+      (1, 0.0, "0.0");
+      (1, 12000.0, "12000.0");
+      (1, 47136.56, "47136.6");
+      (1, 0.25, "0.2");
+      (1, -3.35, "-3.4");
+      (2, 0.9, "0.90");
+      (2, 1.005, "1.00");
+      (1, 1e21, "1000000000000000000000.0");
+      (1, Float.nan, "nan");
+    ];
+  Alcotest.(check string) "nested"
+    "{\"rps\":[262290.3,0.90]}"
+    (Json.to_string
+       (Json.Obj
+          [ ("rps", Json.List [ Json.Fixed (1, 262290.3); Json.Fixed (2, 0.9) ]) ]))
 
 (* Property: any diagnostic list — arbitrary rule codes, severities,
    messages full of characters that need escaping, present or absent
@@ -823,6 +851,7 @@ let () =
         [
           Alcotest.test_case "report round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "string escapes" `Quick test_json_parse_escapes;
+          Alcotest.test_case "fixed-point floats" `Quick test_json_fixed;
           QCheck_alcotest.to_alcotest prop_report_roundtrip;
         ] );
       ( "wcr",

@@ -11,7 +11,7 @@ module Dst = Sg_dst.Dst
 module Rng = Sg_util.Rng
 module Episode = Sg_obs.Episode
 module Profile = Sg_obs.Profile
-module Json = Sg_analysis.Json
+module Json = Sg_util.Json
 module Taint = Sg_analysis.Taint
 
 let scenario_label (sc : Exec.scenario) =

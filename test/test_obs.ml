@@ -361,7 +361,7 @@ let test_jsonl_rejects_garbage () =
     (fun line ->
       let rejected =
         match Jsonl.of_string line with
-        | exception Jsonl.Parse_error _ -> true
+        | exception Sg_util.Json.Parse_error _ -> true
         | _ -> false
       in
       Alcotest.(check bool) (Printf.sprintf "rejects %S" line) true rejected)
@@ -372,6 +372,9 @@ let test_jsonl_rejects_garbage () =
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"no_such_kind\"}";
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"cid\":1";
       "{\"seq\":0,\"at_ns\":0,\"tid\":0,\"kind\":\"crash\",\"detector\":\"x\"}";
+      (* malformed and out-of-range integers are parse errors too *)
+      "{\"seq\":-,\"at_ns\":0,\"tid\":0,\"kind\":\"note\",\"name\":\"a\",\"data\":\"b\"}";
+      "{\"seq\":123456789012345678901234567890,\"at_ns\":0,\"tid\":0,\"kind\":\"note\",\"name\":\"a\",\"data\":\"b\"}";
     ]
 
 (* ---------- checker: one pass + one rejection per rule ---------- *)
@@ -648,7 +651,7 @@ let test_metrics_walk_interrupted () =
 
 (* strings exercising quotes, backslashes, newlines and control bytes *)
 let gen_str =
-  QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 1 126)) (int_range 0 12))
+  QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 12))
 
 let gen_reason = QCheck.Gen.oneofl [ E.Demand; E.Eager; E.Dep; E.Upcall_driven ]
 

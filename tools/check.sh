@@ -38,6 +38,29 @@ print("\n".join(hits))
 sys.exit(1 if hits else 0)
 EOF
 
+echo "== JSON lives in one module: no hand-rolled JSON outside lib/util/json.ml"
+# Every JSON document is built as a Sg_util.Json.t and printed or parsed
+# there. A '"' char literal (escaping or parsing by hand) or a \"key\":
+# string literal (an object pasted together with printf) anywhere else
+# in lib/ or bin/ is a second codec. The allowlist holds file paths;
+# keep it empty.
+python3 - <<'EOF'
+import glob, re, sys
+allow = set()
+pat = re.compile(r"""'"'|\\"[A-Za-z_][\w-]*\\":""")
+files = sorted(glob.glob("lib/**/*.ml", recursive=True)) + sorted(glob.glob("bin/*.ml"))
+hits = []
+for f in files:
+    if f == "lib/util/json.ml" or f in allow:
+        continue
+    for n, line in enumerate(open(f), 1):
+        m = pat.search(line)
+        if m:
+            hits.append("%s:%d: %s" % (f, n, m.group(0)))
+print("\n".join(hits))
+sys.exit(1 if hits else 0)
+EOF
+
 echo "== dune runtest"
 dune runtest
 
@@ -137,6 +160,30 @@ for d in r["diagnostics"]:
     assert d["code"].startswith("SG") and d["severity"] == "info"
     assert d["file"] and d["line"] >= 1 and d["col"] >= 1
 EOF
+
+echo "== error paths: malformed input exits 2 with one diagnosis"
+# a trace line whose integer does not parse is a parse error (exit 2),
+# not an uncaught exception
+printf '{"seq":-,"at_ns":0,"tid":0,"kind":"note","name":"a","data":"b"}\n' \
+    > "$tmpdir/bad_seq.jsonl"
+rc=0
+./_build/default/bin/sgtrace.exe check "$tmpdir/bad_seq.jsonl" \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ]
+# a spec that does not compile: every report command prints exactly one
+# JSON object (the lint report) with --json and exits 2
+for c in lint bound taint race; do
+    rc=0
+    ./_build/default/bin/sgc.exe $c --json test/fixtures/sg901_parse.sgidl \
+        > "$tmpdir/err_$c.json" || rc=$?
+    [ "$rc" -eq 2 ]
+    python3 - "$tmpdir/err_$c.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["schema"] == "sgc-lint" and r["errors"] == 1
+assert [d["code"] for d in r["diagnostics"]] == ["SG901"]
+EOF
+done
 
 echo "== bound gate: sgc bound over the six builtins"
 # exits 1 if any (crashed, client) pair is unbounded
