@@ -60,13 +60,8 @@ let run_fig7 mode requests fault_ms timeline =
         (Sg_kernel.Clock.s_of_ns r.Abench.ab_sim_ns)
         r.Abench.ab_errors r.Abench.ab_faults
         (Sim.reboots sys.Sysbuild.sys_sim);
-      if timeline then begin
-        print_string (Abench.render_timeline (Abench.timeline sys server));
-        if Sys.getenv_opt "SG_DEBUG_TRACE" <> None then
-          List.iter
-            (fun e -> Format.printf "%a@." Sim.pp_trace_event e)
-            (Sim.trace sys.Sysbuild.sys_sim)
-      end
+      if timeline then
+        print_string (Abench.render_timeline (Abench.timeline sys server))
 
 let fig7_term =
   Term.(const run_fig7 $ mode_arg $ requests_arg $ faults_arg $ timeline_arg)

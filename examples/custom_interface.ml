@@ -111,6 +111,7 @@ let () =
       end)
     (Machine.states artifact.Compiler.a_machine);
 
+  let staged = Interp.stage artifact.Compiler.a_ir artifact.Compiler.a_machine in
   let sim = Sim.create () in
   let cbufs = Sg_cbuf.Cbuf.create () in
   let storage = Storage.create cbufs in
@@ -129,13 +130,13 @@ let () =
   let registry =
     Sim.register sim
       (Serverstub.wrap ~storage
-         (Interp.server_config artifact.Compiler.a_ir)
+         (Interp.server_config staged)
          (registry_spec ()))
   in
   Sim.grant sim ~client:app ~server:registry;
   let stub =
     Cstub.make sim ~client:app ~server:registry ~flavor:Tracker.Superglue
-      (Interp.client_config ~storage artifact.Compiler.a_ir)
+      (Interp.client_config ~storage staged)
   in
   let port = Cstub.port stub in
 

@@ -7,9 +7,7 @@ module Tracker = Sg_c3.Tracker
 module Cstub = Sg_c3.Cstub
 module Serverstub = Sg_c3.Serverstub
 module Storage = Sg_storage.Storage
-
-let default_value ty =
-  if Ir.marshal_is_string ty then Comp.VStr "" else Comp.VInt 0
+module Smap = Map.Make (String)
 
 let as_int = function
   | Comp.VInt i -> i
@@ -19,22 +17,138 @@ let as_int = function
 let arg_int args i =
   match List.nth_opt args i with Some v -> as_int v | None -> 0
 
-(* The tracked-data capture: every desc_data-attributed parameter is
-   recorded under its declared name. *)
-let tracked_meta (f : Ir.func) args =
-  List.concat
-    (List.mapi
-       (fun i p ->
-         match p.Ast.pa_attr with
-         | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs -> (
-             match List.nth_opt args i with
-             | Some v -> [ (p.Ast.pa_name, v) ]
-             | None -> [])
-         | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> [])
-       f.Ir.f_params)
+(* ---------- staging ---------- *)
 
-let parent_of ir storage sim tr f args =
-  match Ir.parent_arg_index f with
+type fn = {
+  fn_desc : int option;
+  fn_parent : int option;
+  fn_ns : int option;
+  fn_create : bool;
+  fn_terminal : bool;
+  fn_virtual_create : bool;
+  fn_after : Machine.state;
+  fn_preds : Machine.state list;  (** states with a σ edge on this function *)
+  fn_capture : (int * string) list;  (** tracked arguments, by position *)
+  fn_retval : Ast.retval_annot option;
+}
+
+type step = Cstub.walk_ctx -> Tracker.desc -> unit
+
+type staged = {
+  st_ir : Ir.t;
+  st_fns : fn Smap.t;
+  st_walks : step list Smap.t;  (** per state: [pl_path @ pl_restore] *)
+  st_fallback : step list;  (** unknown states: the first creation *)
+}
+
+let stage_fn ir machine (f : Ir.func) =
+  let name = f.Ir.f_name in
+  let fn_desc = Ir.desc_arg_index ir name in
+  let fn_create = Ir.is_create ir name in
+  {
+    fn_desc;
+    fn_parent = Ir.parent_arg_index f;
+    fn_ns = Ir.ns_arg_index f;
+    fn_create;
+    fn_terminal = Ir.is_terminal ir name;
+    (* local descriptors with server-assigned ids are virtualized;
+       global ones keep the server's (storage-reseeded) ids *)
+    fn_virtual_create =
+      (not ir.Ir.ir_model.Model.global) && fn_create && fn_desc = None;
+    fn_after = Machine.after name;
+    fn_preds =
+      List.filter
+        (fun s -> Machine.sigma machine s name <> None)
+        (Machine.states machine);
+    fn_capture =
+      List.concat
+        (List.mapi
+           (fun i p ->
+             match p.Ast.pa_attr with
+             | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
+                 [ (i, p.Ast.pa_name) ]
+             | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> [])
+           f.Ir.f_params);
+    fn_retval = f.Ir.f_retval;
+  }
+
+(* One replayed call of a recovery walk, its argument sources resolved. *)
+let stage_step (f : Ir.func) fi : step =
+  let name = f.Ir.f_name in
+  let sources =
+    List.map
+      (fun p ->
+        match p.Ast.pa_attr with
+        | Ast.ADesc -> fun _ d -> Comp.VInt d.Tracker.d_server_id
+        | Ast.AParentDesc | Ast.ADescDataParent ->
+            fun wctx d -> Comp.VInt (wctx.Cstub.w_parent_id d)
+        | Ast.ADescNs | Ast.ADescData | Ast.APlain -> (
+            let key = p.Ast.pa_name in
+            let default =
+              if Ir.marshal_is_string p.Ast.pa_type then Comp.VStr ""
+              else Comp.VInt 0
+            in
+            fun _ d ->
+              match Tracker.meta d key with Some v -> v | None -> default))
+      f.Ir.f_params
+  in
+  let args wctx d = List.map (fun source -> source wctx d) sources in
+  if fi.fn_create && fi.fn_desc = None then (fun wctx d ->
+    (* the recovered server assigned a fresh concrete id *)
+    d.Tracker.d_server_id <- as_int (wctx.Cstub.w_invoke name (args wctx d)))
+  else fun wctx d -> ignore (wctx.Cstub.w_invoke name (args wctx d))
+
+let stage ir machine =
+  (* the first declaration of a name wins, as in [Ir.func] *)
+  let by_name g =
+    List.fold_right
+      (fun f m -> Smap.add f.Ir.f_name (g f) m)
+      ir.Ir.ir_funcs Smap.empty
+  in
+  let fns = by_name (stage_fn ir machine) in
+  let steps = by_name (fun f -> stage_step f (Smap.find f.Ir.f_name fns)) in
+  let walk fns = List.map (fun fn -> Smap.find fn steps) fns in
+  {
+    st_ir = ir;
+    st_fns = fns;
+    st_walks =
+      List.fold_left
+        (fun m s ->
+          let p = Machine.plan machine s in
+          Smap.add s (walk (p.Machine.pl_path @ p.Machine.pl_restore)) m)
+        Smap.empty (Machine.states machine);
+    st_fallback =
+      (match ir.Ir.ir_creates with [] -> [] | c :: _ -> walk [ c ]);
+  }
+
+(* A stub hook answered from the staged record of the called function,
+   [default] for a function the interface does not declare. The hooks run
+   on every call, so the lookup allocates nothing. *)
+let hook ~default field st fn =
+  match Smap.find fn st.st_fns with
+  | fi -> field fi
+  | exception Not_found -> default
+
+let desc_arg = hook ~default:None (fun fi -> fi.fn_desc)
+let parent_arg = hook ~default:None (fun fi -> fi.fn_parent)
+
+let rec mem_state s = function
+  | [] -> false
+  | s' :: rest -> String.equal s s' || mem_state s rest
+
+(* The tracked-data capture: every desc_data-attributed argument present
+   in the call, under its declared name, in parameter order. *)
+let rec capture caps i args =
+  match (caps, args) with
+  | [], _ | _, [] -> []
+  | (j, key) :: caps', v :: args' ->
+      if i = j then (key, v) :: capture caps' (i + 1) args'
+      else capture caps (i + 1) args'
+
+(* ---------- the client stub ---------- *)
+
+let parent_of st storage sim tr fi args =
+  match fi.fn_parent with
   | None -> None
   | Some i -> (
       let p = arg_int args i in
@@ -43,12 +157,12 @@ let parent_of ir storage sim tr f args =
         match Tracker.find tr p with
         | Some _ -> Some (Tracker.Local p)
         | None -> (
-            match ir.Ir.ir_model.Model.parent with
+            match st.st_ir.Ir.ir_model.Model.parent with
             | Model.XCParent -> (
                 (* the parent was created by another component: the
                    storage component's creator registry names it (G0) *)
                 match
-                  Storage.lookup_desc storage sim ~space:ir.Ir.ir_name ~id:p
+                  Storage.lookup_desc storage sim ~space:st.st_ir.Ir.ir_name ~id:p
                 with
                 | Some (creator, _) ->
                     Some (Tracker.Cross { client = creator; id = p })
@@ -62,45 +176,41 @@ let rec kill_desc model tr d =
   (* Y_dr: delete the tracking data itself, unless children may need it *)
   if model.Model.close_remove then Tracker.remove tr d.Tracker.d_id
 
-let track ir machine storage sim tr ~epoch fn args ret =
-  match Ir.func ir fn with
-  | None -> ()
-  | Some f ->
-      let model = ir.Ir.ir_model in
-      if Ir.is_create ir fn then begin
+let track st storage sim tr ~epoch fn args ret =
+  match Smap.find fn st.st_fns with
+  | exception Not_found -> ()
+  | fi -> (
+      if fi.fn_create then begin
         let base =
-          match Ir.desc_arg_index ir fn with
-          | Some i -> arg_int args i
-          | None -> as_int ret
+          match fi.fn_desc with Some i -> arg_int args i | None -> as_int ret
         in
         let id =
-          match Ir.ns_arg_index f with
+          match fi.fn_ns with
           | Some i -> (arg_int args i lsl 32) lor base
           | None -> base
         in
-        let parent = parent_of ir storage sim tr f args in
+        let parent = parent_of st storage sim tr fi args in
         ignore
-          (Tracker.add tr sim ~server_id:base ?parent
-             ~state:(Machine.after fn) ~meta:(tracked_meta f args) ~epoch id)
+          (Tracker.add tr sim ~server_id:base ?parent ~state:fi.fn_after
+             ~meta:(capture fi.fn_capture 0 args) ~epoch id)
       end
       else
-        match Option.map (arg_int args) (Ir.desc_arg_index ir fn) with
+        match fi.fn_desc with
         | None -> ()
-        | Some id -> (
-            match Tracker.find tr id with
+        | Some i -> (
+            match Tracker.find tr (arg_int args i) with
             | None -> ()
             | Some d ->
-                if Ir.is_terminal ir fn then kill_desc model tr d
+                if fi.fn_terminal then kill_desc st.st_ir.Ir.ir_model tr d
                 else begin
                   (* fault detection: flag transitions outside sigma *)
-                  (match Machine.sigma machine d.Tracker.d_state fn with
-                  | Some _ -> ()
-                  | None -> Tracker.count_invalid tr);
-                  Tracker.set_state tr sim d (Machine.after fn);
+                  if not (mem_state d.Tracker.d_state fi.fn_preds) then
+                    Tracker.count_invalid tr;
+                  Tracker.set_state tr sim d fi.fn_after;
                   List.iter
                     (fun (k, v) -> Tracker.set_meta tr sim d k v)
-                    (tracked_meta f args);
-                  match f.Ir.f_retval with
+                    (capture fi.fn_capture 0 args);
+                  match fi.fn_retval with
                   | Some { Ast.ra_kind = `Set; ra_name; _ } ->
                       Tracker.set_meta tr sim d ra_name ret
                   | Some { Ast.ra_kind = `Accum; ra_name; _ } ->
@@ -115,55 +225,31 @@ let track ir machine storage sim tr ~epoch fn args ret =
                       in
                       Tracker.set_meta tr sim d ra_name (Comp.VInt (cur + delta))
                   | None -> ()
-                end)
+                end))
 
-let walk ir machine _sim wctx d =
-  let recovery = Machine.plan machine d.Tracker.d_state in
-  let exec fn =
-    let f = Ir.func_exn ir fn in
-    let args =
-      List.map
-        (fun p ->
-          match p.Ast.pa_attr with
-          | Ast.ADesc -> Comp.VInt d.Tracker.d_server_id
-          | Ast.AParentDesc | Ast.ADescDataParent ->
-              Comp.VInt (wctx.Cstub.w_parent_id d)
-          | Ast.ADescNs | Ast.ADescData | Ast.APlain -> (
-              match Tracker.meta d p.Ast.pa_name with
-              | Some v -> v
-              | None -> default_value p.Ast.pa_type))
-        f.Ir.f_params
-    in
-    let ret = wctx.Cstub.w_invoke fn args in
-    if Ir.is_create ir fn && Ir.desc_arg_index ir fn = None then
-      (* the recovered server assigned a fresh concrete id *)
-      d.Tracker.d_server_id <- as_int ret
+let walk st wctx d =
+  let steps =
+    Option.value ~default:st.st_fallback
+      (Smap.find_opt d.Tracker.d_state st.st_walks)
   in
-  List.iter exec recovery.Machine.pl_path;
-  List.iter exec recovery.Machine.pl_restore
+  List.iter (fun step -> step wctx d) steps
 
-let client_config ?(mode = `Ondemand) ~storage ir =
-  let machine = Machine.build ir in
+let client_config ?(mode = `Ondemand) ~storage st =
+  let ir = st.st_ir in
   {
     Cstub.cfg_iface = ir.Ir.ir_name;
     cfg_mode = mode;
-    cfg_desc_arg = (fun fn -> Ir.desc_arg_index ir fn);
-    cfg_parent_arg =
-      (fun fn -> Option.bind (Ir.func ir fn) Ir.parent_arg_index);
+    cfg_desc_arg = desc_arg st;
+    cfg_parent_arg = parent_arg st;
     cfg_terminate_fns = ir.Ir.ir_terminals;
     cfg_d0_children = ir.Ir.ir_model.Model.close_children;
-    cfg_virtual_create =
-      (fun fn ->
-        (* local descriptors with server-assigned ids are virtualized;
-           global ones keep the server's (storage-reseeded) ids *)
-        (not ir.Ir.ir_model.Model.global)
-        && Ir.is_create ir fn
-        && Ir.desc_arg_index ir fn = None);
+    cfg_virtual_create = hook ~default:false (fun fi -> fi.fn_virtual_create) st;
     cfg_track =
-      (fun sim tr ~epoch fn args ret ->
-        track ir machine storage sim tr ~epoch fn args ret);
-    cfg_walk = (fun sim wctx d -> walk ir machine sim wctx d);
+      (fun sim tr ~epoch fn args ret -> track st storage sim tr ~epoch fn args ret);
+    cfg_walk = (fun _sim wctx d -> walk st wctx d);
   }
+
+(* ---------- the server stub ---------- *)
 
 (* T0: wake every thread suspended inside the rebooted component —
    through the wakeup function of the recovering server's server when
@@ -185,19 +271,18 @@ let t0 ?wakeup_dep () sim cid =
       | Ktcb.Runnable | Ktcb.Exited -> ())
     (Ktcb.threads_inside (Sim.kernel sim).Kernel.threads cid)
 
-let server_config ?wakeup_dep ir =
+let server_config ?wakeup_dep st =
+  let ir = st.st_ir in
   let model = ir.Ir.ir_model in
   {
     Serverstub.ss_iface = ir.Ir.ir_name;
     ss_global = model.Model.global;
-    ss_desc_arg = (fun fn -> Ir.desc_arg_index ir fn);
-    ss_parent_arg = (fun fn -> Option.bind (Ir.func ir fn) Ir.parent_arg_index);
+    ss_desc_arg = desc_arg st;
+    ss_parent_arg = parent_arg st;
     ss_create_fns = ir.Ir.ir_creates;
     ss_create_meta =
       (fun fn args _ret ->
-        match Ir.func ir fn with
-        | Some f -> tracked_meta f args
-        | None -> []);
+        hook ~default:[] (fun fi -> capture fi.fn_capture 0 args) st fn);
     ss_boot_init =
       (if model.Model.block then t0 ?wakeup_dep ()
        else Serverstub.no_boot_init);

@@ -21,5 +21,15 @@ val stubset_eager : Sg_storage.Storage.t -> Sg_components.Sysbuild.stubset
 
 val mode_eager : Sg_components.Sysbuild.mode
 
-val artifact : string -> Compiler.artifact
-(** The compiled artifact behind an interface's stubs. *)
+val staged : string -> Interp.staged
+(** The builtin interface's interpreter, staged from its
+    {!Compiler.builtin} artifact. All
+    six are staged once, when the module initialises, so the result is
+    shared and immutable. Raises [Invalid_argument] for an unknown name. *)
+
+val stubset_of :
+  ?mode:[ `Ondemand | `Eager ] -> name:string -> (string -> Interp.staged) ->
+  Sg_storage.Storage.t -> Sg_components.Sysbuild.stubset
+(** [stubset_of ~name staged] wires the interpreted stubs of [staged
+    iface] for every interface, under the configuration name [name]
+    ([stubset] is [stubset_of ~name:"superglue" staged]). *)

@@ -72,6 +72,7 @@ let find_mutant id =
 
 let sut_of_label label =
   if label = "superglue" then Some Exec.Pristine
+  else if label = "superglue-gen" then Some Exec.Generated
   else
     match String.index_opt label ':' with
     | Some i when String.sub label 0 i = "mutant" ->

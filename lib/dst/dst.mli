@@ -28,7 +28,8 @@ val find_mutant : string -> Sg_analysis.Mutate.mutant option
 (** Look up a builtin mutant by its ["iface/operator/N"] id. *)
 
 val sut_of_label : string -> Exec.sut option
-(** Inverse of {!Exec.sut_label}: ["superglue"] or ["mutant:<id>"]. *)
+(** Inverse of {!Exec.sut_label}: ["superglue"], ["superglue-gen"] or
+    ["mutant:<id>"]. *)
 
 type run_report = {
   rr_seed : int;

@@ -40,7 +40,7 @@ type scenario = {
   sc_plan : Plan.fault list;
 }
 
-type sut = Pristine | Mutant of Mutate.mutant
+type sut = Pristine | Generated | Mutant of Mutate.mutant
 
 type verdict =
   | Pass
@@ -63,6 +63,7 @@ type outcome = {
 
 let sut_label = function
   | Pristine -> "superglue"
+  | Generated -> "superglue-gen"
   | Mutant m -> "mutant:" ^ m.Mutate.m_id
 
 let verdict_class = function
@@ -103,32 +104,18 @@ let classic_params iface knob =
 (* ---------- the SUT ---------- *)
 
 (* a mutant system is the pristine superglue stub set with the mutated
-   interface's compiled artifact swapped in; Compile_error propagates
-   (callers count it as a trivially detected mutant) *)
+   interface's compiled artifact staged in (once per mode); Compile_error
+   propagates (callers count it as a trivially detected mutant) *)
 let mode_of_sut = function
   | Pristine -> Superglue.Stubset.mode
+  | Generated -> Sg_genstubs.Gen_stubset.mode
   | Mutant m ->
-      let arts =
-        List.map
-          (fun n ->
-            if n = m.Mutate.m_iface then
-              (n, Compiler.compile ~name:n m.Mutate.m_source)
-            else (n, Compiler.builtin n))
-          Compiler.builtin_names
-      in
-      let art iface = List.assoc iface arts in
+      let a = Compiler.compile ~name:m.Mutate.m_iface m.Mutate.m_source in
+      let mutated = Interp.stage a.Compiler.a_ir a.Compiler.a_machine in
       Sysbuild.Stubbed
-        (fun storage ->
-          {
-            Sysbuild.st_name = "superglue-mutant";
-            st_flavor = Sg_c3.Tracker.Superglue;
-            st_client =
-              (fun ~iface ->
-                Interp.client_config ~storage (art iface).Compiler.a_ir);
-            st_server =
-              (fun ~iface ~wakeup_dep ->
-                Interp.server_config ?wakeup_dep (art iface).Compiler.a_ir);
-          })
+        (Superglue.Stubset.stubset_of ~name:"superglue-mutant" (fun iface ->
+             if iface = m.Mutate.m_iface then mutated
+             else Superglue.Stubset.staged iface))
 
 (* static bounds are always the *pristine* ones: a mutant that inflates
    its declared cap must still be judged against the spec it shipped *)

@@ -23,11 +23,12 @@ type scenario = {
   sc_plan : Plan.fault list;
 }
 
-type sut = Pristine | Mutant of Sg_analysis.Mutate.mutant
-(** What to run against: the shipped SuperGlue stub set, or the same
-    set with one interface's spec replaced by a mutant. Compiling a
-    mutant may raise — callers treat a compile error as a (trivially)
-    detected mutant. *)
+type sut = Pristine | Generated | Mutant of Sg_analysis.Mutate.mutant
+(** What to run against: the shipped SuperGlue stub set (interpreted),
+    the compiler-emitted stub modules ([Generated], the differential
+    oracle of the interpreter), or the interpreted set with one
+    interface's spec replaced by a mutant. Compiling a mutant may raise
+    — callers treat a compile error as a (trivially) detected mutant. *)
 
 type verdict =
   | Pass
@@ -59,7 +60,8 @@ type outcome = {
 }
 
 val sut_label : sut -> string
-(** ["superglue"] or ["mutant:<id>"], the artifact's [sut] field. *)
+(** ["superglue"], ["superglue-gen"] or ["mutant:<id>"], the artifact's
+    [sut] field. *)
 
 val verdict_class : verdict -> string
 (** ["pass" | "postcond" | "check" | "over-bound" | "fatal"] — the

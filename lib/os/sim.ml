@@ -24,7 +24,6 @@ type t = {
       (** Indexed backend: sleeping fibers keyed (until_ns, tid); stale
           entries are invalidated by the per-fiber generation counter *)
   mutable live : int;  (** fibers spawned and not yet finished *)
-  debug_divert : bool;  (** SG_DEBUG_DIVERT, read once at creation *)
 }
 
 and trace_event = {
@@ -102,7 +101,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     ready = Runq.Ready.create ();
     sleepq = Runq.Sleep.create ();
     live = 0;
-    debug_divert = Sys.getenv_opt "SG_DEBUG_DIVERT" <> None;
   }
 
 let trace_capacity = Sg_obs.Sink.ring_capacity
@@ -130,15 +128,6 @@ let trace t =
           Some { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Upcall fn; tv_cid = cid }
       | _ -> None)
     (Sg_obs.Sink.recovery_recent t.sim_obs)
-
-let pp_trace_event ppf e =
-  let kind =
-    match e.tv_kind with
-    | `Failed detector -> "fault detected (" ^ detector ^ ")"
-    | `Microreboot -> "micro-reboot"
-    | `Upcall fn -> "upcall " ^ fn
-  in
-  Format.fprintf ppf "[%8d ns] component %d: %s" e.tv_at_ns e.tv_cid kind
 
 let kernel t = t.sk
 let cost t = t.sk.Kernel.cost
@@ -485,11 +474,6 @@ let run_fiber t fiber =
       match fiber.f_tcb.Ktcb.divert with
       | Some cid ->
           fiber.f_tcb.Ktcb.divert <- None;
-          if t.debug_divert then
-            Printf.eprintf "divert tid=%d from cid=%d (stack innermost=%s)\n"
-              fiber.f_tcb.Ktcb.tid cid
-              (match Ktcb.current_component fiber.f_tcb with
-               | Some c -> string_of_int c | None -> "-");
           Effect.Deep.discontinue k (Comp.Diverted { cid })
       | None -> Effect.Deep.continue k ()));
   t.current <- None

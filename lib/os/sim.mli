@@ -177,7 +177,6 @@ val trace : t -> trace_event list
 (** Most recent first; at most {!trace_capacity} entries. *)
 
 val trace_capacity : int
-val pp_trace_event : Format.formatter -> trace_event -> unit
 
 (** {1 Structured observability}
 

@@ -1,7 +1,8 @@
 (* The compiler-emitted stub modules, compiled into sg_genstubs by the
    build, must drive the system exactly like the interpreted backend:
-   fault-free runs, crash-recovery storms, and a differential comparison
-   of virtual-time cost against the interpreter. *)
+   fault-free runs, crash-recovery storms, a differential comparison of
+   virtual-time cost against the interpreter, and a DST oracle that
+   compares the two backends' event streams seed by seed. *)
 
 module Sim = Sg_os.Sim
 module Comp = Sg_os.Comp
@@ -9,6 +10,8 @@ module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Codegen = Superglue.Codegen
 module Compiler = Superglue.Compiler
+module Dst = Sg_dst.Dst
+module Exec = Sg_dst.Exec
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -75,6 +78,44 @@ let test_gen_equals_interp iface () =
       "backends diverge: interp (t=%d, inv=%d, reboots=%d) vs generated (t=%d, inv=%d, reboots=%d)"
       t1 i1 r1 t2 i2 r2
 
+(* DST differential oracle: over a range of default-profile seeds — which
+   holds the known-failing ledger seeds 5692 and 6121, so failing paths
+   are compared too — the interpreted and generated backends reach the
+   same verdict class with byte-identical JSON-lines event streams. *)
+let test_gen_equals_interp_dst () =
+  let observe sut seed =
+    match (Dst.run_seed ~sut seed).Dst.rr_result with
+    | Ok o ->
+        ( Exec.verdict_class o.Exec.oc_verdict,
+          List.map Sg_obs.Jsonl.to_string o.Exec.oc_stream )
+    | Error m -> Alcotest.failf "seed %d: %s" seed m
+  in
+  let failing = ref 0 in
+  for seed = 5_200 to 6_199 do
+    let ci, si = observe Exec.Pristine seed in
+    let cg, sg = observe Exec.Generated seed in
+    if ci <> cg then
+      Alcotest.failf "seed %d: verdict %s (interpreted) vs %s (generated)" seed
+        ci cg;
+    if si <> sg then begin
+      let rec first_diff i = function
+        | a :: ra, b :: rb -> if a = b then first_diff (i + 1) (ra, rb) else i
+        | _ -> i
+      in
+      Alcotest.failf "seed %d: event streams diverge at event %d (%d vs %d events)"
+        seed (first_diff 0 (si, sg)) (List.length si) (List.length sg)
+    end;
+    if ci <> "pass" then incr failing
+  done;
+  (* the ledger seeds fail on both backends: the comparison covered
+     failing paths, not only passing ones *)
+  Alcotest.(check int) "ledger seeds in range" 2 !failing
+
+let test_gen_sut_label_round_trips () =
+  Alcotest.(check string) "label" "superglue-gen" (Exec.sut_label Exec.Generated);
+  Alcotest.(check bool) "parsed back" true
+    (Dst.sut_of_label "superglue-gen" = Some Exec.Generated)
+
 let test_emitted_text_structure () =
   List.iter
     (fun name ->
@@ -135,7 +176,13 @@ let () =
               (iface ^ ": generated == interpreted")
               `Quick
               (test_gen_equals_interp iface))
-          Workloads.all_ifaces );
+          Workloads.all_ifaces
+        @ [
+            Alcotest.test_case "DST seeds: generated == interpreted" `Quick
+              test_gen_equals_interp_dst;
+            Alcotest.test_case "superglue-gen sut label" `Quick
+              test_gen_sut_label_round_trips;
+          ] );
       ( "emission",
         [
           Alcotest.test_case "structure" `Quick test_emitted_text_structure;

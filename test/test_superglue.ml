@@ -1,5 +1,6 @@
 (* Tests for the SuperGlue IDL compiler: lexer/parser, semantic analysis,
-   state-machine recovery plans, and the interpreted stubs driving the
+   state-machine recovery plans, the staged interpreter checked against
+   the machine state by state, and the interpreted stubs driving the
    full system — including crash-recovery runs for every service and a
    differential comparison against the hand-written C3 stubs. *)
 
@@ -15,6 +16,9 @@ module Model = Superglue.Model
 module Machine = Superglue.Machine
 module Compiler = Superglue.Compiler
 module Stubset = Superglue.Stubset
+module Interp = Superglue.Interp
+module Tracker = Sg_c3.Tracker
+module Cstub = Sg_c3.Cstub
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -209,6 +213,214 @@ let test_sigma_fault_detection () =
   Alcotest.(check bool) "invalid: alloc then release" true
     (Machine.sigma m "after:lock_alloc" "lock_release" = None)
 
+(* --- the staged interpreter, exhaustively against the machine --- *)
+
+let staged_client name =
+  let a = Compiler.builtin name in
+  let storage = Sg_storage.Storage.create (Sg_cbuf.Cbuf.create ()) in
+  ( a.Compiler.a_ir,
+    a.Compiler.a_machine,
+    Interp.client_config ~storage (Interp.stage a.Compiler.a_ir a.Compiler.a_machine) )
+
+(* a state no tracking ever produces *)
+let unknown_state = "after:no-such-fn"
+
+(* every tracked datum a walk may read, with a value distinct per name *)
+let full_meta ir =
+  List.concat_map
+    (fun f ->
+      List.map
+        (fun p -> (p.Ast.pa_name, Comp.VStr ("m:" ^ p.Ast.pa_name)))
+        f.Ir.f_params
+      @
+      match f.Ir.f_retval with
+      | Some r -> [ (r.Ast.ra_name, Comp.VInt 41) ]
+      | None -> [])
+    ir.Ir.ir_funcs
+
+(* Every (state, function) pair: a call on a descriptor tracked in that
+   state counts an invalid transition exactly when sigma has no edge
+   (creations, terminations and descriptor-less calls never count), and
+   moves a surviving descriptor to after:<fn> with its desc_data
+   arguments captured and then its return-value rule applied. *)
+let test_staged_track_sigma () =
+  List.iter
+    (fun name ->
+      let ir, m, cfg = staged_client name in
+      List.iter
+        (fun st ->
+          List.iter
+            (fun f ->
+              let fn = f.Ir.f_name in
+              let checked =
+                Ir.desc_arg_index ir fn <> None
+                && (not (Ir.is_create ir fn))
+                && not (Ir.is_terminal ir fn)
+              in
+              let sim = Sim.create () in
+              let tr = Tracker.create ~flavor:Tracker.Superglue () in
+              let d = Tracker.add tr sim ~state:st ~meta:[] ~epoch:0 5 in
+              let args =
+                List.mapi
+                  (fun i _ ->
+                    if Some i = Ir.desc_arg_index ir fn then Comp.VInt 5
+                    else Comp.VInt (10 + i))
+                  f.Ir.f_params
+              in
+              let ret = if checked then Comp.VStr "abcd" else Comp.VInt 9 in
+              cfg.Cstub.cfg_track sim tr ~epoch:0 fn args ret;
+              let expected =
+                if checked && Machine.sigma m st fn = None then 1 else 0
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s in %s" name fn st)
+                expected (Tracker.invalid_transitions tr);
+              if checked then begin
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: state after %s" name fn)
+                  (Machine.after fn) d.Tracker.d_state;
+                let captured =
+                  List.concat
+                    (List.map2
+                       (fun p v ->
+                         match p.Ast.pa_attr with
+                         | Ast.ADescData | Ast.ADescDataParent | Ast.ADescNs ->
+                             [ (p.Ast.pa_name, v) ]
+                         | Ast.APlain | Ast.ADesc | Ast.AParentDesc -> [])
+                       f.Ir.f_params args)
+                in
+                let meta =
+                  List.fold_left
+                    (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc)
+                    [] captured
+                in
+                let meta =
+                  match f.Ir.f_retval with
+                  | Some { Ast.ra_kind = `Set; ra_name; _ } ->
+                      (ra_name, ret) :: List.remove_assoc ra_name meta
+                  | Some { Ast.ra_kind = `Accum; ra_name; _ } ->
+                      let cur =
+                        match List.assoc_opt ra_name meta with
+                        | Some (Comp.VInt i) -> i
+                        | _ -> 0
+                      in
+                      (ra_name, Comp.VInt (cur + 4))
+                      :: List.remove_assoc ra_name meta
+                  | None -> meta
+                in
+                List.iter
+                  (fun (k, v) ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s: %s.%s" name fn k)
+                      (Comp.value_to_string v)
+                      (match Tracker.meta d k with
+                      | Some v -> Comp.value_to_string v
+                      | None -> "<untracked>"))
+                  meta
+              end)
+            ir.Ir.ir_funcs)
+        (Machine.states m @ [ unknown_state ]))
+    Compiler.builtin_names
+
+(* Every state's walk replays exactly pl_path @ pl_restore, with the
+   arguments rebuilt from the descriptor: its current server id (updated
+   by a replayed creation without a desc() argument), the parent's id,
+   and tracked data or the type's default. An unknown state walks the
+   first creation, as Machine.plan's fallback does. *)
+let test_staged_walks () =
+  List.iter
+    (fun name ->
+      let ir, m, cfg = staged_client name in
+      let meta = full_meta ir in
+      List.iter
+        (fun st ->
+          List.iter
+            (fun meta ->
+              let sim = Sim.create () in
+              let tr = Tracker.create ~flavor:Tracker.Superglue () in
+              let d = Tracker.add tr sim ~server_id:70 ~state:st ~meta ~epoch:0 5 in
+              let calls = ref [] and next = ref 100 in
+              let wctx =
+                {
+                  Cstub.w_invoke =
+                    (fun fn args ->
+                      calls := (fn, args) :: !calls;
+                      incr next;
+                      Comp.VInt !next);
+                  w_parent_id = (fun _ -> 33);
+                  w_recover_local = (fun _ -> ());
+                }
+              in
+              cfg.Cstub.cfg_walk sim wctx d;
+              (* the reference: the unstaged reading of the plan *)
+              let p = Machine.plan m st in
+              let server = ref 70 and ret = ref 100 in
+              let expected =
+                List.map
+                  (fun fn ->
+                    let f = Ir.func_exn ir fn in
+                    let args =
+                      List.map
+                        (fun pa ->
+                          match pa.Ast.pa_attr with
+                          | Ast.ADesc -> Comp.VInt !server
+                          | Ast.AParentDesc | Ast.ADescDataParent -> Comp.VInt 33
+                          | Ast.ADescNs | Ast.ADescData | Ast.APlain -> (
+                              match List.assoc_opt pa.Ast.pa_name meta with
+                              | Some v -> v
+                              | None ->
+                                  if Ir.marshal_is_string pa.Ast.pa_type then
+                                    Comp.VStr ""
+                                  else Comp.VInt 0))
+                        f.Ir.f_params
+                    in
+                    incr ret;
+                    if Ir.is_create ir fn && Ir.desc_arg_index ir fn = None then
+                      server := !ret;
+                    (fn, args))
+                  (p.Machine.pl_path @ p.Machine.pl_restore)
+              in
+              let show calls =
+                String.concat "; "
+                  (List.map
+                     (fun (fn, args) ->
+                       fn ^ "("
+                       ^ String.concat "," (List.map Comp.value_to_string args)
+                       ^ ")")
+                     calls)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: walk from %s" name st)
+                (show expected) (show (List.rev !calls));
+              Alcotest.(check int)
+                (Printf.sprintf "%s: server id after %s" name st)
+                !server d.Tracker.d_server_id)
+            [ meta; [] ])
+        (Machine.states m @ [ unknown_state ]))
+    Compiler.builtin_names
+
+(* A function the interface does not declare is a no-op for every hook. *)
+let test_staged_unknown_fn () =
+  List.iter
+    (fun name ->
+      let _, _, cfg = staged_client name in
+      let sim = Sim.create () in
+      let tr = Tracker.create ~flavor:Tracker.Superglue () in
+      let d = Tracker.add tr sim ~state:"s0" ~meta:[] ~epoch:0 5 in
+      let t0 = Sim.now sim in
+      cfg.Cstub.cfg_track sim tr ~epoch:0 "no_such_fn" [ Comp.VInt 5 ] (Comp.VInt 6);
+      Alcotest.(check int) "nothing charged" t0 (Sim.now sim);
+      Alcotest.(check int) "nothing tracked" 1 (Tracker.count tr);
+      Alcotest.(check int) "nothing counted" 0 (Tracker.invalid_transitions tr);
+      Alcotest.(check string) "state kept" "s0" d.Tracker.d_state;
+      Alcotest.(check (option int)) "no desc arg" None
+        (cfg.Cstub.cfg_desc_arg "no_such_fn");
+      Alcotest.(check (option int)) "no parent arg" None
+        (cfg.Cstub.cfg_parent_arg "no_such_fn");
+      Alcotest.(check bool) "not virtualized" false
+        (cfg.Cstub.cfg_virtual_create "no_such_fn"))
+    Compiler.builtin_names
+
 let test_emit_header () =
   let h = Compiler.emit_header (Compiler.builtin "evt").Compiler.a_ir in
   Alcotest.(check bool) "prototype survives" true
@@ -365,6 +577,14 @@ let () =
           Alcotest.test_case "mm plans" `Quick test_plans_mm;
           Alcotest.test_case "sigma fault detection" `Quick test_sigma_fault_detection;
           QCheck_alcotest.to_alcotest prop_plans_valid;
+        ] );
+      ( "staged",
+        [
+          Alcotest.test_case "track counts exactly sigma misses" `Quick
+            test_staged_track_sigma;
+          Alcotest.test_case "walks replay every plan" `Quick test_staged_walks;
+          Alcotest.test_case "unknown function is a no-op" `Quick
+            test_staged_unknown_fn;
         ] );
       ( "faultfree",
         List.map

@@ -61,6 +61,26 @@ print("\n".join(hits))
 sys.exit(1 if hits else 0)
 EOF
 
+echo "== no environment knobs: no Sys.getenv in lib/ or bin/"
+# Behaviour is set by flags and arguments only, so a run is reproduced
+# by its command line; the event stream and sgtrace replace ad-hoc
+# debug prints. The allowlist holds file paths; keep it empty.
+python3 - <<'EOF'
+import glob, re, sys
+allow = set()
+pat = re.compile(r"\bSys\.getenv(_opt)?\b")
+files = sorted(glob.glob("lib/**/*.ml", recursive=True)) + sorted(glob.glob("bin/*.ml"))
+hits = []
+for f in files:
+    if f in allow:
+        continue
+    for n, line in enumerate(open(f), 1):
+        if pat.search(line):
+            hits.append("%s:%d: %s" % (f, n, line.strip()))
+print("\n".join(hits))
+sys.exit(1 if hits else 0)
+EOF
+
 echo "== dune runtest"
 dune runtest
 
