@@ -386,8 +386,7 @@ let campaign_scale () =
     wall (fun () ->
         List.map
           (fun iface ->
-            Sg_swifi.Pardriver.run ~jobs ~mode ~iface ~injections:per_service
-              ~collect_events:false ())
+            Sg_swifi.Pardriver.run ~jobs ~mode ~iface ~injections:per_service ())
           services)
   in
   let results = List.map (fun j -> (j, run_sweep j)) !jobs_list in
@@ -422,7 +421,7 @@ let campaign_scale () =
             | Some bound_ns ->
                 ignore
                   (Sg_swifi.Pardriver.run ~jobs:vjobs ~mode ~iface
-                     ~injections:per_service ~collect_events:false
+                     ~injections:per_service
                      ~on_episodes:(fun ~seed:_ eps ->
                        List.iter
                          (fun e ->

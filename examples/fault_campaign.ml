@@ -6,6 +6,7 @@
 *)
 
 module Campaign = Sg_swifi.Campaign
+module Pardriver = Sg_swifi.Pardriver
 
 let () =
   let injections =
@@ -19,7 +20,7 @@ let () =
   List.iter
     (fun iface ->
       let row =
-        Campaign.run ~mode:Superglue.Stubset.mode ~iface ~injections ()
+        Pardriver.run ~jobs:1 ~mode:Superglue.Stubset.mode ~iface ~injections ()
       in
       Format.printf "%a@." Campaign.pp_row row)
     [ "sched"; "fs"; "lock" ];

@@ -604,25 +604,26 @@ let setup_ops sys pending ops =
 
 (* ---------- the oracle ---------- *)
 
-let injected_outcome events cid outcome =
-  (* [events] is newest-first: the most recent injection explains the
-     fatal iff it targeted the fatal component with the fatal outcome *)
-  let rec last = function
-    | [] -> None
-    | { Sg_obs.Event.kind = Sg_obs.Event.Inject { cid = icid; outcome = ioc; _ }; _ }
-      :: _ ->
-        Some (icid, ioc)
-    | _ :: rest -> last rest
+let injected_outcome stream cid outcome =
+  (* the most recent injection explains the fatal iff it targeted the
+     fatal component with the fatal outcome *)
+  let last =
+    List.fold_left
+      (fun acc (e : Sg_obs.Event.t) ->
+        match e.kind with
+        | Sg_obs.Event.Inject { cid = icid; outcome = ioc; _ } -> Some (icid, ioc)
+        | _ -> acc)
+      None stream
   in
-  match last events with
+  match last with
   | Some (icid, ioc) -> icid = cid && ioc = outcome
   | None -> false
 
-let fatal_tolerated events = function
-  | Sim.Fatal (Sim.Fatal_segfault cid) -> injected_outcome events cid "segfault"
+let fatal_tolerated stream = function
+  | Sim.Fatal (Sim.Fatal_segfault cid) -> injected_outcome stream cid "segfault"
   | Sim.Fatal (Sim.Fatal_propagated cid) ->
-      injected_outcome events cid "propagated"
-  | Sim.Fatal (Sim.Fatal_hang cid) -> injected_outcome events cid "hang"
+      injected_outcome stream cid "propagated"
+  | Sim.Fatal (Sim.Fatal_hang cid) -> injected_outcome stream cid "hang"
   | _ -> false
 
 let bound_of sys cid =
@@ -650,8 +651,7 @@ let run ?(sut = Pristine) sc =
   let adversary = adversary_of_plan sc.sc_plan in
   let sys = Sysbuild.build ~seed:sc.sc_seed ?adversary mode in
   let sim = sys.Sysbuild.sys_sim in
-  let events = ref [] in
-  Sg_obs.Sink.subscribe (Sim.obs sim) (fun e -> events := e :: !events);
+  Sg_obs.Sink.set_retention (Sim.obs sim) Sg_obs.Sink.All;
   let epb = Sg_obs.Episode.builder () in
   Sg_obs.Sink.subscribe (Sim.obs sim) (Sg_obs.Episode.feed epb);
   let pending : (string, string) Hashtbl.t = Hashtbl.create 4 in
@@ -665,7 +665,7 @@ let run ?(sut = Pristine) sc =
         Workloads.setup ~params:(classic_params iface knob) sys ~iface ~iters
   in
   let result = Sim.run sim in
-  let stream = List.rev !events in
+  let stream = Sg_obs.Sink.events (Sim.obs sim) in
   let episodes = Sg_obs.Episode.finish epb in
   let verdict =
     let fatal_failure =
@@ -673,7 +673,7 @@ let run ?(sut = Pristine) sc =
       | Sim.Completed -> None
       | Sim.Deadlock -> Some "deadlock: all threads blocked"
       | Sim.Fatal f ->
-          if fatal_tolerated !events result then None
+          if fatal_tolerated stream result then None
           else Some (Sim.fatal_to_string f)
     in
     match fatal_failure with
@@ -714,7 +714,7 @@ let run ?(sut = Pristine) sc =
   {
     oc_verdict = verdict;
     oc_result = result;
-    oc_events = List.length stream;
+    oc_events = Sg_obs.Sink.count (Sim.obs sim);
     oc_storage_faults = Storage.write_faults_hit sys.Sysbuild.sys_storage;
     oc_stream = stream;
     oc_episodes = episodes;

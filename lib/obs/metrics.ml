@@ -1,23 +1,18 @@
-(* Metrics: a sink subscriber that folds the event stream into
-   per-component counters and latency histograms. Harnesses and the
-   SWIFI campaign read these instead of keeping private counters. *)
+(* Metrics: a sink subscriber that folds the event stream into counters
+   and latency histograms. Harnesses and the SWIFI campaign read these
+   instead of keeping private counters. *)
 
 type t = {
   mutable invocations_total : int;
-  invocations_by_server : (int, int) Hashtbl.t;
   mutable spans_ok : int;
   mutable spans_fault : int;
   mutable crashes_total : int;
-  crashes_by_cid : (int, int) Hashtbl.t;
   mutable reboots_total : int;
-  reboots_by_cid : (int, int) Hashtbl.t;
   mutable reboot_ns_total : int;
   mutable upcalls_total : int;
   mutable diverts_total : int;
-  mutable reflects_total : int;
   mutable walks_total : int;
   walks_by_client : (int, int) Hashtbl.t;
-  walks_by_server : (int, int) Hashtbl.t;
   mutable storage_ops_total : int;
   mutable injections_total : int;
   mutable perturbs_total : int;
@@ -25,12 +20,10 @@ type t = {
   outcomes : (string, int) Hashtbl.t;
   mutable http_requests : int;
   mutable http_errors : int;
-  mutable http_reqs_total : int;  (* open-loop request spans (Http_req) *)
   sojourn_hist : Hist.t;  (* Http_req finish - arrival, queueing included *)
   span_hist : Hist.t;
   walk_hist : Hist.t;
   first_access_hist : Hist.t;
-  reboot_cost_hist : Hist.t;
   (* transient state for duration tracking *)
   open_spans : (int, int) Hashtbl.t;  (* span id -> begin ns *)
   open_walks : (int, (int * int * int) list ref) Hashtbl.t;
@@ -44,20 +37,15 @@ type t = {
 let create () =
   {
     invocations_total = 0;
-    invocations_by_server = Hashtbl.create 16;
     spans_ok = 0;
     spans_fault = 0;
     crashes_total = 0;
-    crashes_by_cid = Hashtbl.create 16;
     reboots_total = 0;
-    reboots_by_cid = Hashtbl.create 16;
     reboot_ns_total = 0;
     upcalls_total = 0;
     diverts_total = 0;
-    reflects_total = 0;
     walks_total = 0;
     walks_by_client = Hashtbl.create 16;
-    walks_by_server = Hashtbl.create 16;
     storage_ops_total = 0;
     injections_total = 0;
     perturbs_total = 0;
@@ -65,12 +53,10 @@ let create () =
     outcomes = Hashtbl.create 8;
     http_requests = 0;
     http_errors = 0;
-    http_reqs_total = 0;
     sojourn_hist = Hist.create ();
     span_hist = Hist.create ();
     walk_hist = Hist.create ();
     first_access_hist = Hist.create ();
-    reboot_cost_hist = Hist.create ();
     open_spans = Hashtbl.create 64;
     open_walks = Hashtbl.create 16;
     first_access_pending = Hashtbl.create 8;
@@ -82,9 +68,8 @@ let bump tbl key by =
 
 let feed_raw t ~at_ns ~tid kind =
   match kind with
-  | Event.Span_begin { span; server; _ } ->
+  | Event.Span_begin { span; _ } ->
       t.invocations_total <- t.invocations_total + 1;
-      bump t.invocations_by_server server 1;
       Hashtbl.replace t.open_spans span at_ns
   | Event.Span_end { span; server; ok } ->
       (match Hashtbl.find_opt t.open_spans span with
@@ -101,22 +86,16 @@ let feed_raw t ~at_ns ~tid kind =
         | None -> ()
       end
       else t.spans_fault <- t.spans_fault + 1
-  | Event.Crash { cid; _ } ->
-      t.crashes_total <- t.crashes_total + 1;
-      bump t.crashes_by_cid cid 1
+  | Event.Crash _ -> t.crashes_total <- t.crashes_total + 1
   | Event.Reboot { cid; cost_ns; _ } ->
       t.reboots_total <- t.reboots_total + 1;
-      bump t.reboots_by_cid cid 1;
       t.reboot_ns_total <- t.reboot_ns_total + cost_ns;
-      Hist.add t.reboot_cost_hist cost_ns;
       Hashtbl.replace t.first_access_pending cid at_ns
   | Event.Divert _ -> t.diverts_total <- t.diverts_total + 1
   | Event.Upcall _ -> t.upcalls_total <- t.upcalls_total + 1
-  | Event.Reflect _ -> t.reflects_total <- t.reflects_total + 1
   | Event.Walk_begin { client; server; _ } ->
       t.walks_total <- t.walks_total + 1;
       bump t.walks_by_client client 1;
-      bump t.walks_by_server server 1;
       let stack =
         match Hashtbl.find_opt t.open_walks tid with
         | Some s -> s
@@ -143,7 +122,7 @@ let feed_raw t ~at_ns ~tid kind =
               if ok then Hist.add t.walk_hist (at_ns - t0)
           | None -> ())
       | None -> ())
-  | Event.Recover_begin _ | Event.Recover_end _ -> ()
+  | Event.Reflect _ | Event.Recover_begin _ | Event.Recover_end _ -> ()
   | Event.Storage_op _ -> t.storage_ops_total <- t.storage_ops_total + 1
   | Event.Inject { outcome; _ } ->
       t.injections_total <- t.injections_total + 1;
@@ -155,7 +134,6 @@ let feed_raw t ~at_ns ~tid kind =
       t.http_requests <- t.http_requests + 1;
       if status >= 400 then t.http_errors <- t.http_errors + 1
   | Event.Http_req { arrival_ns; finish_ns; _ } ->
-      t.http_reqs_total <- t.http_reqs_total + 1;
       Hist.add t.sojourn_hist (finish_ns - arrival_ns)
   | Event.Note _ -> ()
 
@@ -166,29 +144,17 @@ let attach t sink = Sink.subscribe_fold sink (feed_raw t)
 
 let get tbl key = match Hashtbl.find_opt tbl key with Some n -> n | None -> 0
 
-let invocations ?cid t =
-  match cid with
-  | None -> t.invocations_total
-  | Some c -> get t.invocations_by_server c
+let invocations t = t.invocations_total
+let reboots t = t.reboots_total
+let crashes t = t.crashes_total
 
-let reboots ?cid t =
-  match cid with None -> t.reboots_total | Some c -> get t.reboots_by_cid c
-
-let crashes ?cid t =
-  match cid with None -> t.crashes_total | Some c -> get t.crashes_by_cid c
-
-let walks ?client ?server t =
-  match (client, server) with
-  | None, None -> t.walks_total
-  | Some c, None -> get t.walks_by_client c
-  | None, Some s -> get t.walks_by_server s
-  | Some _, Some _ -> invalid_arg "Metrics.walks: give client or server, not both"
+let walks ?client t =
+  match client with None -> t.walks_total | Some c -> get t.walks_by_client c
 
 let spans_ok t = t.spans_ok
 let spans_fault t = t.spans_fault
 let upcalls t = t.upcalls_total
 let diverts t = t.diverts_total
-let reflects t = t.reflects_total
 let storage_ops t = t.storage_ops_total
 let injections t = t.injections_total
 let perturbs t = t.perturbs_total
@@ -197,12 +163,10 @@ let outcome_count t s = get t.outcomes s
 let reboot_ns_total t = t.reboot_ns_total
 let http_requests t = t.http_requests
 let http_errors t = t.http_errors
-let http_reqs t = t.http_reqs_total
 let sojourn_hist t = t.sojourn_hist
 let span_hist t = t.span_hist
 let walk_hist t = t.walk_hist
 let first_access_hist t = t.first_access_hist
-let reboot_cost_hist t = t.reboot_cost_hist
 
 let pp_summary ppf t =
   Format.fprintf ppf "invocations        %d@." t.invocations_total;
@@ -224,7 +188,7 @@ let pp_summary ppf t =
   if t.http_requests > 0 then
     Format.fprintf ppf "http requests      %d (%d errors)@." t.http_requests
       t.http_errors;
-  if t.http_reqs_total > 0 then
+  if Hist.n t.sojourn_hist > 0 then
     Format.fprintf ppf "request sojourn    %a@." Hist.pp t.sojourn_hist;
   Format.fprintf ppf "span latency       %a@." Hist.pp t.span_hist;
   Format.fprintf ppf "walk latency       %a@." Hist.pp t.walk_hist;

@@ -3,10 +3,10 @@
     A {!t} is a pure consumer: attach it to a sink (or {!feed} it events
     replayed from a JSON-lines dump) and read counters and histograms.
     Counters mirror what the harnesses previously kept privately:
-    invocations per server, crash/reboot accounting, descriptor walks
-    per client, SWIFI outcome tallies, and latency histograms for
-    invocation spans, walks, first post-reboot access, and reboot
-    cost. *)
+    invocations, crash/reboot accounting, descriptor walks (also per
+    client), SWIFI outcome tallies, and latency histograms for
+    invocation spans, walks, first post-reboot access and open-loop
+    request sojourn. *)
 
 type t
 
@@ -18,20 +18,19 @@ val feed : t -> Event.t -> unit
 val attach : t -> Sink.t -> unit
 (** Subscribe [feed] to a sink. *)
 
-val invocations : ?cid:int -> t -> int
-(** Total invocation spans begun, or those entering server [cid]. *)
+val invocations : t -> int
+(** Invocation spans begun. *)
 
-val reboots : ?cid:int -> t -> int
-val crashes : ?cid:int -> t -> int
+val reboots : t -> int
+val crashes : t -> int
 
-val walks : ?client:int -> ?server:int -> t -> int
-(** Descriptor walks, total or filtered by one side. *)
+val walks : ?client:int -> t -> int
+(** Descriptor walks, total or those performed by [client]. *)
 
 val spans_ok : t -> int
 val spans_fault : t -> int
 val upcalls : t -> int
 val diverts : t -> int
-val reflects : t -> int
 val storage_ops : t -> int
 val injections : t -> int
 
@@ -47,9 +46,6 @@ val reboot_ns_total : t -> int
 val http_requests : t -> int
 val http_errors : t -> int
 
-val http_reqs : t -> int
-(** Open-loop request spans ({!Event.Http_req}) folded so far. *)
-
 val sojourn_hist : t -> Hist.t
 (** Arrival-to-finish latency of open-loop requests (queueing included). *)
 
@@ -61,5 +57,4 @@ val first_access_hist : t -> Hist.t
     successful invocation of it (the paper's first-access recovery
     latency). *)
 
-val reboot_cost_hist : t -> Hist.t
 val pp_summary : Format.formatter -> t -> unit

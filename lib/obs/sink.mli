@@ -8,19 +8,17 @@
       [sgtrace dump] want; unbounded, so opt in per run.
     - [Recovery] (default) keeps only recovery-relevant events (crashes,
       reboots, diverts, walks, upcalls, injections) — bounded in
-      practice by fault activity, not by request volume.
-    - [Nothing] keeps no log; subscribers still see everything.
+      practice by fault activity, not by request volume — but every one
+      of them, however long the run.
 
-    Independent of the policy, a bounded 512-entry ring of
-    crash/reboot/upcall events is always maintained; it backs the legacy
-    [Sim.trace] API. *)
+    The retained log is the only history a sink keeps; subscribers see
+    every emission whatever the policy. *)
 
-type retention = All | Recovery | Nothing
+type retention = All | Recovery
 
 type t
 
 val create : ?retention:retention -> unit -> t
-val retention : t -> retention
 val set_retention : t -> retention -> unit
 
 val emit : t -> at_ns:int -> tid:int -> Event.kind -> unit
@@ -41,10 +39,3 @@ val events : t -> Event.t list
 
 val count : t -> int
 (** Number of retained events. *)
-
-val recovery_recent : t -> Event.t list
-(** The always-on bounded ring of crash/reboot/upcall events, newest
-    first; at most {!ring_capacity} entries. *)
-
-val ring_capacity : int
-val clear : t -> unit

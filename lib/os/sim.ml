@@ -26,12 +26,6 @@ type t = {
   mutable live : int;  (** fibers spawned and not yet finished *)
 }
 
-and trace_event = {
-  tv_at_ns : int;
-  tv_kind : [ `Failed of string | `Microreboot | `Upcall of string ];
-  tv_cid : Comp.cid;
-}
-
 and spec = {
   sc_name : string;
   sc_image_kb : int;
@@ -78,8 +72,8 @@ type _ Effect.t +=
   | Block_eff : unit Effect.t
   | Yield_eff : unit Effect.t
 
-let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) () =
-  let sim_obs = Sg_obs.Sink.create ?retention () in
+let create ?(cost = Cost.default) ?(seed = 42) ?(sched = `Indexed) () =
+  let sim_obs = Sg_obs.Sink.create () in
   let sim_metrics = Sg_obs.Metrics.create () in
   Sg_obs.Metrics.attach sim_metrics sim_obs;
   {
@@ -103,7 +97,6 @@ let create ?(cost = Cost.default) ?(seed = 42) ?retention ?(sched = `Indexed) ()
     live = 0;
   }
 
-let trace_capacity = Sg_obs.Sink.ring_capacity
 let obs t = t.sim_obs
 let metrics t = t.sim_metrics
 
@@ -112,22 +105,6 @@ let emit t kind =
     match t.current with Some f -> f.f_tcb.Ktcb.tid | None -> -1
   in
   Sg_obs.Sink.emit t.sim_obs ~at_ns:(Kernel.now t.sk) ~tid kind
-
-(* the legacy bounded recovery-trace view, rebuilt from the sink's
-   always-on ring *)
-let trace t =
-  List.filter_map
-    (fun (e : Sg_obs.Event.t) ->
-      match e.Sg_obs.Event.kind with
-      | Sg_obs.Event.Crash { cid; detector } ->
-          Some
-            { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Failed detector; tv_cid = cid }
-      | Sg_obs.Event.Reboot { cid; _ } ->
-          Some { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Microreboot; tv_cid = cid }
-      | Sg_obs.Event.Upcall { cid; fn } ->
-          Some { tv_at_ns = e.Sg_obs.Event.at_ns; tv_kind = `Upcall fn; tv_cid = cid }
-      | _ -> None)
-    (Sg_obs.Sink.recovery_recent t.sim_obs)
 
 let kernel t = t.sk
 let cost t = t.sk.Kernel.cost

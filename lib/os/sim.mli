@@ -46,11 +46,7 @@ type run_result = Completed | Fatal of fatal | Deadlock
 
 (** {1 Construction} *)
 
-(** [retention] sets the built-in observability sink's policy (default
-    [Recovery]); pass [All] to retain the full event stream for
-    {!Sg_obs.Check.run} or JSON-lines export.
-
-    [sched] selects the dispatcher backend. [`Indexed] (the default)
+(** [sched] selects the dispatcher backend. [`Indexed] (the default)
     maintains the ready and sleeper sets incrementally in {!Runq} heaps;
     [`Scan] is the legacy O(threads)-per-decision list scan, kept as the
     reference implementation for the golden-trace determinism tests and
@@ -59,8 +55,7 @@ type run_result = Completed | Fatal of fatal | Deadlock
     behaviour — event streams, virtual times, campaign outcomes — is
     bit-for-bit identical across them. *)
 val create :
-  ?cost:Sg_kernel.Cost.t -> ?seed:int -> ?retention:Sg_obs.Sink.retention ->
-  ?sched:[ `Scan | `Indexed ] ->
+  ?cost:Sg_kernel.Cost.t -> ?seed:int -> ?sched:[ `Scan | `Indexed ] ->
   unit -> t
 val kernel : t -> Sg_kernel.Kernel.t
 val cost : t -> Sg_kernel.Cost.t
@@ -161,29 +156,16 @@ val fatal : t -> fatal option
 val fatal_to_string : fatal -> string
 val pp_run_result : Format.formatter -> run_result -> unit
 
-(** {1 Recovery trace}
-
-    A bounded ring of recovery-relevant events (fault detections,
-    micro-reboots, upcalls), for debugging and for the examples'
-    narration. Recording costs no virtual time. *)
-
-type trace_event = {
-  tv_at_ns : int;
-  tv_kind : [ `Failed of string | `Microreboot | `Upcall of string ];
-  tv_cid : Comp.cid;
-}
-
-val trace : t -> trace_event list
-(** Most recent first; at most {!trace_capacity} entries. *)
-
-val trace_capacity : int
-
 (** {1 Structured observability}
 
     Every simulator emits structured {!Sg_obs.Event.t} values — spans
     for each invocation, crash/reboot/divert/upcall/reflect recovery
     events — into a built-in sink, with an attached metrics fold. The
-    legacy {!trace} above is a bounded view of the same stream. *)
+    sink's retained log ({!Sg_obs.Sink.events}) is the simulator's
+    history: by default it keeps every event
+    {!Sg_obs.Event.is_recovery_relevant} accepts; set [All] on it
+    with {!Sg_obs.Sink.set_retention} to keep the full stream for
+    {!Sg_obs.Check.run} or JSON-lines export. *)
 
 val obs : t -> Sg_obs.Sink.t
 val metrics : t -> Sg_obs.Metrics.t

@@ -129,23 +129,6 @@ let add a b =
     r_episodes = a.r_episodes @ b.r_episodes;
   }
 
-let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?on_event ?episodes ~mode ~iface ~injections () =
-  let rec go acc chunk_seed =
-    let remaining = injections - acc.r_injected in
-    if remaining <= 0 then acc
-    else
-      let _injected, row =
-        run_chunk ?on_event ?episodes ~mode ~iface ~seed:chunk_seed ~period_ns
-          ~iters:chunk_iters ~budget:remaining ~cmon_period_ns ()
-      in
-      (* even when the workload finished before the first injection was
-         due (injected = 0), keep going with a fresh run: the next chunk
-         seed reshuffles the injection schedule *)
-      go (add acc row) (chunk_seed + 1)
-  in
-  go (empty iface) seed
-
 let activation_ratio r =
   if r.r_injected = 0 then 0.0
   else

@@ -4,7 +4,9 @@
     SWIFI injector periodically flips register bits in threads executing
     inside the target. After an unrecoverable fault the whole system is
     rebooted (a fresh simulator) and the campaign resumes, until the
-    requested number of faults has been injected.
+    requested number of faults has been injected. {!Pardriver.run} is
+    that loop; this module provides one chunk of it ({!run_chunk}) and
+    the row arithmetic.
 
     A detected fail-stop fault counts as *recovered* only when the
     workload run it occurred in subsequently completes with all
@@ -53,29 +55,6 @@ val run_chunk :
     and the accounted row. Chunks are deterministic functions of
     [(mode, iface, seed)] plus the injection parameters, and share no
     mutable state — {!Pardriver} runs them on separate domains. *)
-
-val run :
-  ?seed:int ->
-  ?period_ns:int ->
-  ?chunk_iters:int ->
-  ?cmon_period_ns:int ->
-  ?on_event:(Sg_obs.Event.t -> unit) ->
-  ?episodes:bool ->
-  mode:Sg_components.Sysbuild.mode ->
-  iface:string ->
-  injections:int ->
-  unit ->
-  row
-(** [run ~mode ~iface ~injections ()] injects exactly [injections] faults
-    (the paper uses 500 per component). With [cmon_period_ns] the C'MON
-    latent-fault monitor is armed: loop-bound hangs are detected within
-    a budget overrun plus one monitor period and recovered like other
-    fail-stop faults, emptying the "other" column. [on_event] is
-    subscribed to every chunk simulator's observability sink, in run
-    order — the full structured event stream of the campaign. With
-    [episodes:true] each chunk additionally stitches its stream into
-    recovery episodes ({!Sg_obs.Episode}), collected into
-    [r_episodes]. *)
 
 val activation_ratio : row -> float
 (** |F_a| / |F_a ∪ F_u| — the fraction of injected faults activated. *)

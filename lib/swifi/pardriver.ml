@@ -4,10 +4,10 @@
    Campaign chunks are independent deterministic runs keyed by
    (mode, iface, chunk_seed): each one builds a fresh simulator and its
    own sink, so chunks can execute on separate domains with no shared
-   mutable state. The only sequential dependency in [Campaign.run] is
-   the injection *budget*: chunk [i] runs with
-   [budget = injections - injected so far], so its cap depends on every
-   earlier chunk.
+   mutable state. The only sequential dependency in the campaign loop
+   (the [jobs = 1] branch of [run]) is the injection *budget*: chunk [i]
+   runs with [budget = injections - injected so far], so its cap
+   depends on every earlier chunk.
 
    We break that dependency speculatively. Workers run chunks uncapped
    ([budget = injections], the loosest cap any sequential chunk can get)
@@ -21,8 +21,8 @@
      final chunk): the chunk is re-run once, in the merging domain, with
      the exact sequential budget.
 
-   The merged row is therefore equal, count for count, to what
-   [Campaign.run] produces — verified by the [pardriver] golden tests
+   The merged row is therefore equal, count for count, to what the
+   sequential loop produces — verified by the [pardriver] golden tests
    and the qcheck jobs/batch determinism property.
 
    Scaling comes from how the chunks are fanned out:
@@ -100,10 +100,10 @@ let derive_batch ~jobs ~injections ~first_injected =
   max 1 (min by_target by_balance)
 
 let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
-    ?(collect_events = true) ?(episodes = false) ?on_chunk ?on_episodes ?batch
+    ?(episodes = false) ?on_chunk ?on_episodes ?batch
     ?lookahead ~jobs ~mode ~iface ~injections () =
   let jobs = max 1 jobs in
-  let collect = collect_events && on_chunk <> None in
+  let collect = on_chunk <> None in
   let stitch = episodes || on_episodes <> None in
   let deliver chunk_seed r =
     (match on_chunk with Some f -> f ~seed:chunk_seed r.cr_events | None -> ());
@@ -122,9 +122,11 @@ let run ?(seed = 1) ?(period_ns = 20_000) ?(chunk_iters = 400) ?cmon_period_ns
       ~chunk_iters ~cmon_period_ns in
   if injections <= 0 then Campaign.empty iface
   else if jobs = 1 then begin
-    (* plain sequential loop — same seeds, same budgets, same arithmetic
-       as [Campaign.run], so the result (and any emitted trace) is
-       byte-identical to the single-core driver *)
+    (* the reference: a plain sequential loop, chunk seed after chunk
+       seed, each capped at the budget still left. A chunk whose
+       workload finished before its first injection was due (injected
+       = 0) does not end the loop: the next seed reshuffles the
+       injection schedule. *)
     let rec go acc chunk_seed =
       let remaining = injections - acc.Campaign.r_injected in
       if remaining <= 0 then acc

@@ -1,36 +1,43 @@
-(** Multicore SWIFI campaign driver.
+(** The SWIFI campaign driver (paper §V-D, Table II).
 
-    Fans {!Campaign} chunks across [jobs] domains through the
-    deterministic speculative pool ({!Sg_util.Pool}): chunk seeds are
-    grouped into batches sized to amortize domain hand-off over ~100
-    injections (derived from the first chunk's injection count; override
-    with [batch]), each batch's results stay private to its worker until
+    [run ~jobs ~mode ~iface ~injections ()] injects exactly [injections]
+    faults (the paper uses 500 per component): chunk [i] (seed
+    [seed + i]) runs the workload on a fresh simulator with the injector
+    armed for the budget still left, until the budget is met. With
+    [cmon_period_ns] the C'MON latent-fault monitor is armed: loop-bound
+    hangs are detected within a budget overrun plus one monitor period
+    and recovered like other fail-stop faults, emptying the "other"
+    column.
+
+    [jobs = 1] is a plain sequential loop over those seeds and budgets;
+    it is the reference every other [jobs] reproduces. [jobs > 1] fans
+    the chunks across [jobs] domains through the deterministic
+    speculative pool ({!Sg_util.Pool}): chunk seeds are grouped into
+    batches sized to amortize domain hand-off over ~100 injections
+    (derived from the first chunk's injection count; override with
+    [batch]), each batch's results stay private to its worker until
     published with one atomic store, and worker lookahead is bounded
     relative to the merge cursor, so speculative results never pile up
     unboundedly and post-campaign waste is at most the in-flight
     batches. Each chunk builds its own simulator and sink, so chunks
     share no mutable state. The merge replays the sequential budget
     arithmetic in seed order, re-running (at most) the campaign's final
-    chunk with its exact sequential budget, so the merged row equals —
-    count for count — the row {!Campaign.run} produces with the same
-    parameters, for every [jobs], [batch], and [lookahead].
-
-    [jobs = 1] is a plain sequential loop with the same seeds and
-    budgets as {!Campaign.run}: output (including any trace delivered
-    through [on_chunk]) is byte-identical to the single-core driver.
+    chunk with its exact sequential budget, so the merged row — and any
+    trace delivered through [on_chunk] — equals, count for count and
+    byte for byte, what [jobs = 1] produces with the same parameters,
+    for every [jobs], [batch], and [lookahead].
 
     [on_chunk] is called in merge (seed) order, once per chunk whose row
     was used, with that chunk's full event stream (every emission, as a
     subscriber sees it). Event sequence numbers and timestamps restart
     per chunk; concatenating streams for [sgtrace check] requires
     re-stamping and a ["sys-reboot"] note at each boundary (see
-    [bin/campaign.ml]). Collection is only enabled when [on_chunk] is
-    given; pass [collect_events:false] to keep the callback (e.g. to
-    count chunks) while skipping collection — the event lists are then
-    empty.
+    [bin/campaign.ml]). Events are only collected when [on_chunk] is
+    given.
 
-    [episodes:true] turns on per-chunk recovery-episode stitching (see
-    {!Campaign.run}) and accumulates the episodes on the returned row;
+    [episodes:true] turns on per-chunk recovery-episode stitching
+    ({!Sg_obs.Episode}) and accumulates the episodes on the returned row
+    ([r_episodes], in campaign order, chunk-local timestamps);
     merged episode lists are deterministic across [jobs] because
     discarded speculative chunks also discard their episodes.
 
@@ -50,7 +57,6 @@ val run :
   ?period_ns:int ->
   ?chunk_iters:int ->
   ?cmon_period_ns:int ->
-  ?collect_events:bool ->
   ?episodes:bool ->
   ?on_chunk:(seed:int -> Sg_obs.Event.t list -> unit) ->
   ?on_episodes:(seed:int -> Sg_obs.Episode.t list -> unit) ->

@@ -40,9 +40,9 @@ type bucket = {
 
 val timeline : Sg_components.Sysbuild.system -> Server.t -> bucket list
 (** The Fig 7 timeline: per-stats-tick throughput derived from the
-    server's served-count samples, with the crash instants (from the
-    simulator's recovery trace) attributed to their buckets. Call after
-    {!run}. *)
+    server's served-count samples, with every crash instant (the
+    [Crash] events in the simulator's sink) attributed to its bucket.
+    Call after {!run}. *)
 
 val render_timeline : bucket list -> string
 (** An ASCII rendering: one bar per bucket, crash markers as in the

@@ -1,6 +1,7 @@
 (* Unit tests for the recovery runtime: the descriptor tracker (including
    id virtualization), the client-stub engine's accounting, the server
-   stub's storage bookkeeping, and the simulator's recovery trace. *)
+   stub's storage bookkeeping, and the recovery events in the
+   simulator's sink. *)
 
 module Sim = Sg_os.Sim
 module Comp = Sg_os.Comp
@@ -11,6 +12,7 @@ module Lock = Sg_components.Lock
 module Ramfs = Sg_components.Ramfs
 module Event = Sg_components.Event
 module Storage = Sg_storage.Storage
+module Ev = Sg_obs.Event
 
 let with_tracker f =
   let sim = Sim.create () in
@@ -138,32 +140,23 @@ let test_recovery_trace () =
   (match Sim.run sim with
   | Sim.Completed -> ()
   | r -> Alcotest.failf "run: %a" Sim.pp_run_result r);
-  let events = Sim.trace sim in
-  let has kind =
-    List.exists
-      (fun e ->
-        match (e.Sim.tv_kind, kind) with
-        | `Failed _, `Failed -> true
-        | `Microreboot, `Reboot -> true
-        | _ -> false)
-      events
-  in
-  Alcotest.(check bool) "fault recorded" true (has `Failed);
-  Alcotest.(check bool) "reboot recorded" true (has `Reboot);
-  (* chronology: the fault detection precedes the micro-reboot *)
+  let events = Sg_obs.Sink.events (Sim.obs sim) in
   let times kind =
     List.filter_map
-      (fun e ->
-        match (e.Sim.tv_kind, kind) with
-        | `Failed _, `Failed | `Microreboot, `Reboot -> Some e.Sim.tv_at_ns
+      (fun (e : Ev.t) ->
+        match (e.kind, kind) with
+        | Ev.Crash _, `Failed | Ev.Reboot _, `Reboot -> Some e.at_ns
         | _ -> None)
       events
   in
+  Alcotest.(check bool) "fault recorded" true (times `Failed <> []);
+  Alcotest.(check bool) "reboot recorded" true (times `Reboot <> []);
+  (* chronology: the fault detection precedes the micro-reboot *)
   Alcotest.(check bool) "fault before reboot" true
     (List.nth (times `Failed) 0 <= List.nth (times `Reboot) 0)
 
 let test_upcall_trace_on_g0 () =
-  (* the evt global-descriptor recovery leaves an upcall in the trace *)
+  (* the evt global-descriptor recovery leaves an upcall in the sink *)
   let sys = Sysbuild.build Superglue.Stubset.mode in
   let sim = sys.Sysbuild.sys_sim in
   let app1 = sys.Sysbuild.sys_app1 and app2 = sys.Sysbuild.sys_app2 in
@@ -184,8 +177,9 @@ let test_upcall_trace_on_g0 () =
   | r -> Alcotest.failf "run: %a" Sim.pp_run_result r);
   let upcalled =
     List.exists
-      (fun e -> match e.Sim.tv_kind with `Upcall _ -> e.Sim.tv_cid = app2 | _ -> false)
-      (Sim.trace sim)
+      (fun (e : Ev.t) ->
+        match e.kind with Ev.Upcall { cid; _ } -> cid = app2 | _ -> false)
+      (Sg_obs.Sink.events (Sim.obs sim))
   in
   Alcotest.(check bool) "upcall into the creator recorded" true upcalled
 

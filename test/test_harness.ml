@@ -8,6 +8,7 @@ module Fig7 = Sg_harness.Fig7
 module Table2 = Sg_harness.Table2
 module Ablation = Sg_harness.Ablation
 module Campaign = Sg_swifi.Campaign
+module Pardriver = Sg_swifi.Pardriver
 module Stats = Sg_util.Stats
 
 let test_fig6a_shape () =
@@ -89,10 +90,11 @@ let test_ablation_quick () =
 
 let test_cmon_empties_other () =
   let plain =
-    Campaign.run ~mode:Superglue.Stubset.mode ~iface:"sched" ~injections:300 ()
+    Pardriver.run ~jobs:1 ~mode:Superglue.Stubset.mode ~iface:"sched"
+      ~injections:300 ()
   in
   let cmon =
-    Campaign.run ~cmon_period_ns:5_000 ~mode:Superglue.Stubset.mode
+    Pardriver.run ~jobs:1 ~cmon_period_ns:5_000 ~mode:Superglue.Stubset.mode
       ~iface:"sched" ~injections:300 ()
   in
   Alcotest.(check int) "no latent faults with the monitor" 0 cmon.Campaign.r_other;

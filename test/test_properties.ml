@@ -420,11 +420,14 @@ let test_check_recovery_modes () =
 let campaign_events ~seed =
   let buf = Buffer.create 4096 in
   let row =
-    Sg_swifi.Campaign.run ~seed ~mode:Superglue.Stubset.mode ~iface:"fs"
-      ~injections:25
-      ~on_event:(fun e ->
-        Buffer.add_string buf (Sg_obs.Jsonl.to_string e);
-        Buffer.add_char buf '\n')
+    Sg_swifi.Pardriver.run ~jobs:1 ~seed ~mode:Superglue.Stubset.mode
+      ~iface:"fs" ~injections:25
+      ~on_chunk:(fun ~seed:_ events ->
+        List.iter
+          (fun e ->
+            Buffer.add_string buf (Sg_obs.Jsonl.to_string e);
+            Buffer.add_char buf '\n')
+          events)
       ()
   in
   (row, Buffer.contents buf)

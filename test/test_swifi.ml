@@ -7,6 +7,7 @@ module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Injector = Sg_swifi.Injector
 module Campaign = Sg_swifi.Campaign
+module Pardriver = Sg_swifi.Pardriver
 module Rng = Sg_util.Rng
 
 let test_injector_counts () =
@@ -52,7 +53,7 @@ let test_injector_only_hits_target () =
 
 let test_campaign_deterministic () =
   let run () =
-    Campaign.run ~seed:3 ~mode:Superglue.Stubset.mode ~iface:"lock"
+    Pardriver.run ~jobs:1 ~seed:3 ~mode:Superglue.Stubset.mode ~iface:"lock"
       ~injections:80 ()
   in
   let a = run () and b = run () in
@@ -62,7 +63,8 @@ let test_campaign_accounting () =
   List.iter
     (fun iface ->
       let r =
-        Campaign.run ~mode:Superglue.Stubset.mode ~iface ~injections:150 ()
+        Pardriver.run ~jobs:1 ~mode:Superglue.Stubset.mode ~iface
+          ~injections:150 ()
       in
       Alcotest.(check int) "injected exactly" 150 r.Campaign.r_injected;
       let accounted =
@@ -77,7 +79,9 @@ let test_campaign_accounting () =
 (* Statistical reproduction: each service's 500-fault campaign must land
    within generous bands of the paper's Table II. *)
 let test_campaign_matches_paper iface () =
-  let r = Campaign.run ~mode:Superglue.Stubset.mode ~iface ~injections:500 () in
+  let r =
+    Pardriver.run ~jobs:1 ~mode:Superglue.Stubset.mode ~iface ~injections:500 ()
+  in
   let p =
     List.find (fun p -> p.Sg_harness.Paper.p_iface = iface) Sg_harness.Paper.table2
   in
@@ -145,7 +149,7 @@ let test_pardriver_failure_path () =
 
 let test_c3_mode_also_recovers () =
   let r =
-    Campaign.run
+    Pardriver.run ~jobs:1
       ~mode:(Sysbuild.Stubbed Sysbuild.c3_stubset)
       ~iface:"fs" ~injections:200 ()
   in
@@ -153,7 +157,9 @@ let test_c3_mode_also_recovers () =
     (Campaign.success_rate r > 0.85)
 
 let test_base_mode_recovers_nothing () =
-  let r = Campaign.run ~mode:Sysbuild.Base ~iface:"fs" ~injections:100 () in
+  let r =
+    Pardriver.run ~jobs:1 ~mode:Sysbuild.Base ~iface:"fs" ~injections:100 ()
+  in
   Alcotest.(check int) "no recovery without stubs" 0 r.Campaign.r_recovered
 
 let () =

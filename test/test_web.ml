@@ -114,6 +114,41 @@ let test_timeline_coalesce () =
   let b1 = Abench.timeline sys server in
   Alcotest.(check bool) "buckets unchanged after coalescing" true (b0 = b1)
 
+(* Fig 7 markers: every crash inside the sampled window lands in a
+   bucket, the first one included, however many crashes the run has *)
+let test_timeline_marks_every_crash () =
+  let sys, server, r =
+    run_server Superglue.Stubset.mode ~fault_period_ns:(Some 3_000_000)
+      ~requests:20_000
+  in
+  let buckets = Abench.timeline sys server in
+  let sample_times = List.map fst !(server.Server.ws_timeline) in
+  let lo = List.fold_left min max_int sample_times
+  and hi = List.fold_left max min_int sample_times in
+  let crashes =
+    List.filter_map
+      (fun (e : Sg_obs.Event.t) ->
+        match e.kind with
+        | Sg_obs.Event.Crash _ when e.at_ns >= lo && e.at_ns < hi -> Some e.at_ns
+        | _ -> None)
+      (Sg_obs.Sink.events (Sim.obs sys.Sysbuild.sys_sim))
+  in
+  Alcotest.(check bool) "crashes inside the window" true
+    (crashes <> [] && List.length crashes <= r.Abench.ab_faults);
+  Alcotest.(check int) "every in-window crash is marked"
+    (List.length crashes)
+    (List.fold_left (fun acc b -> acc + b.Abench.b_crashes) 0 buckets);
+  let first_crash_s = Sg_kernel.Clock.s_of_ns (List.hd crashes) in
+  let holding =
+    List.fold_left
+      (fun acc b -> if b.Abench.b_start_s <= first_crash_s then Some b else acc)
+      None buckets
+  in
+  let first_marked = List.find_opt (fun b -> b.Abench.b_crashes > 0) buckets in
+  Alcotest.(check (option (float 0.0))) "first marked bucket holds the first crash"
+    (Option.map (fun b -> b.Abench.b_start_s) holding)
+    (Option.map (fun b -> b.Abench.b_start_s) first_marked)
+
 (* ---------- open-loop load generation ---------- *)
 
 module Loadgen = Sg_web.Loadgen
@@ -230,6 +265,8 @@ let () =
           Alcotest.test_case "apache reference" `Quick test_apache_reference;
           Alcotest.test_case "timeline coalesces equal timestamps" `Quick
             test_timeline_coalesce;
+          Alcotest.test_case "timeline marks every crash" `Quick
+            test_timeline_marks_every_crash;
         ] );
       ( "loadgen",
         [

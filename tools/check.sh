@@ -84,6 +84,15 @@ EOF
 echo "== dune runtest"
 dune runtest
 
+echo "== examples: every examples/*.exe runs to a zero exit"
+# The examples are the README's entry points and use the public API;
+# building them is not enough, each one must also run.
+for ex in examples/*.ml; do
+  exe="./_build/default/examples/$(basename "$ex" .ml).exe"
+  echo "-- $exe"
+  "$exe" > /dev/null
+done
+
 echo "== perf smoke: bench sched --quick writes valid BENCH_sched.json"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
