@@ -1,129 +1,19 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Fig 6(a)/(b)/(c), Table II, Fig 7) and runs
-   Bechamel micro-benchmarks of the implementation itself.
+   paper's evaluation (Fig 6(a)/(b)/(c), Table II, Fig 7) and runs the
+   perf benchmarks that write BENCH_*.json.
 
    Usage:
      dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- fig6a fig6b fig6c table2 fig7 micro
+     dune exec bench/main.exe -- fig6a fig6b fig6c table2 fig7 sched
 *)
 
 module Sysbuild = Sg_components.Sysbuild
 module Workloads = Sg_components.Workloads
 module Sim = Sg_os.Sim
-module Usage = Sg_kernel.Usage
-module Reg = Sg_kernel.Reg
 
 let hr title =
   Printf.printf "\n==== %s %s\n%!" title
     (String.make (max 1 (66 - String.length title)) '=')
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let bench_compile iface =
-  let source = Superglue.Compiler.builtin_source iface in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "compile:%s" iface)
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Superglue.Compiler.compile ~name:iface source)))
-
-let bench_codegen iface =
-  let artifact = Superglue.Compiler.builtin iface in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "codegen:%s" iface)
-    (Bechamel.Staged.stage (fun () -> ignore (Superglue.Codegen.emit artifact)))
-
-let bench_classify =
-  let usage = Option.get (Sg_components.Profiles.sched "sched_blk") in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"swifi:classify"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         ignore
-           (Usage.classify usage
-              ~reg:Reg.all.(!i mod 8)
-              ~bit:(!i mod 32)
-              ~at:(37 * !i mod 700))))
-
-let bench_workload (name, mode) iface =
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "workload:%s:%s" iface name)
-    (Bechamel.Staged.stage (fun () ->
-         let sys = Sysbuild.build mode in
-         let check = Workloads.setup sys ~iface ~iters:5 in
-         (match Sim.run sys.Sysbuild.sys_sim with
-         | Sim.Completed -> ()
-         | _ -> failwith "bench workload failed");
-         ignore (check ())))
-
-let bench_recovery iface =
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "recovery:%s" iface)
-    (Bechamel.Staged.stage (fun () ->
-         let sys = Sysbuild.build Superglue.Stubset.mode in
-         let check = Workloads.setup sys ~iface ~iters:5 in
-         let target = Sysbuild.cid_of_iface sys iface in
-         let count = ref 0 in
-         Sim.set_on_dispatch sys.Sysbuild.sys_sim
-           (Some
-              (fun sim cid _ ->
-                if cid = target then begin
-                  incr count;
-                  if !count mod 6 = 0 then begin
-                    Sim.mark_failed sim cid ~detector:"bench";
-                    raise (Sg_os.Comp.Crash { cid; detector = "bench" })
-                  end
-                end));
-         (match Sim.run sys.Sysbuild.sys_sim with
-         | Sim.Completed -> ()
-         | _ -> failwith "bench recovery failed");
-         ignore (check ())))
-
-let micro () =
-  hr "Bechamel micro-benchmarks (real time per run)";
-  let tests =
-    Bechamel.Test.make_grouped ~name:"superglue"
-      [
-        Bechamel.Test.make_grouped ~name:"compiler"
-          (List.map bench_compile Superglue.Compiler.builtin_names);
-        Bechamel.Test.make_grouped ~name:"codegen"
-          (List.map bench_codegen [ "lock"; "evt"; "fs" ]);
-        bench_classify;
-        Bechamel.Test.make_grouped ~name:"runs"
-          (List.concat
-             [
-               List.map
-                 (bench_workload ("c3", Sysbuild.Stubbed Sysbuild.c3_stubset))
-                 [ "lock"; "fs" ];
-               List.map
-                 (bench_workload ("superglue", Superglue.Stubset.mode))
-                 [ "lock"; "fs" ];
-               List.map bench_recovery [ "lock"; "evt" ];
-             ]);
-      ]
-  in
-  let benchmark () =
-    let open Bechamel in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-    in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let open Bechamel in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let results = analyze (benchmark ()) in
-  Printf.printf "%-44s %14s\n" "benchmark" "ns/run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Bechamel.Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "%-44s %14.1f\n" name est
-         | _ -> Printf.printf "%-44s %14s\n" name "n/a")
 
 (* ---------- the paper's tables and figures ---------- *)
 
@@ -283,8 +173,8 @@ let bench_spec =
 (* the dispatcher-loop workload: 64 threads over 8 priority bands, each
    alternating yields with short timed sleeps, so every iteration is a
    full scheduling decision and the sleeper queue gets real traffic *)
-let sched_workload ~sched ~threads ~yields =
-  let sim = Sim.create ~sched () in
+let sched_workload ~threads ~yields =
+  let sim = Sim.create () in
   let app = Sim.register sim bench_spec in
   let dispatches = ref 0 in
   for i = 0 to threads - 1 do
@@ -316,58 +206,51 @@ let emit_ns_per_event ~subscriber ~events =
   in
   s /. float_of_int events *. 1e9
 
-let write_json path lines =
+let write_json path json =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (String.concat "\n" lines ^ "\n"));
+    (fun () -> output_string oc (Sg_util.Json.to_string json ^ "\n"));
   Printf.printf "wrote %s\n%!" path
 
 let sched_perf () =
-  hr "bench sched: dispatcher-loop throughput, list-scan vs indexed run-queue";
+  hr "bench sched: dispatcher-loop throughput";
   let threads = 64 in
   let yields = if !quick then 200 else 2_000 in
-  let measure sched =
-    (* one warm-up run, then the timed run *)
-    ignore (sched_workload ~sched ~threads ~yields);
-    let dispatches, s = wall (fun () -> sched_workload ~sched ~threads ~yields) in
-    (dispatches, s, float_of_int dispatches /. s)
-  in
-  let scan_n, scan_s, scan_rate = measure `Scan in
-  let idx_n, idx_s, idx_rate = measure `Indexed in
-  let speedup = idx_rate /. scan_rate in
+  (* one warm-up run, then the timed run *)
+  ignore (sched_workload ~threads ~yields);
+  let dispatches, s = wall (fun () -> sched_workload ~threads ~yields) in
+  let rate = float_of_int dispatches /. s in
   let emit_drop = emit_ns_per_event ~subscriber:false ~events:2_000_000 in
   let emit_sub = emit_ns_per_event ~subscriber:true ~events:2_000_000 in
-  Printf.printf "%-28s %12s %12s %14s\n" "backend" "dispatches" "wall s"
-    "dispatch/s";
-  Printf.printf "%-28s %12d %12.4f %14.0f\n" "scan (legacy)" scan_n scan_s
-    scan_rate;
-  Printf.printf "%-28s %12d %12.4f %14.0f\n" "indexed (runq)" idx_n idx_s
-    idx_rate;
-  Printf.printf "speedup (indexed vs scan): %.2fx\n" speedup;
+  Printf.printf "%12s %12s %14s\n" "dispatches" "wall s" "dispatch/s";
+  Printf.printf "%12d %12.4f %14.0f\n" dispatches s rate;
   Printf.printf
     "sink emit: %.1f ns/event dropped unboxed, %.1f ns/event with subscriber\n"
     emit_drop emit_sub;
   let path = Option.value !out_path ~default:"BENCH_sched.json" in
+  let open Sg_util.Json in
   write_json path
-    [
-      "{";
-      Printf.sprintf "  \"bench\": \"sched\",";
-      Printf.sprintf "  \"quick\": %b," !quick;
-      Printf.sprintf "  \"threads\": %d," threads;
-      Printf.sprintf "  \"yields_per_thread\": %d," yields;
-      Printf.sprintf
-        "  \"scan\": {\"dispatches\": %d, \"wall_s\": %.6f, \"dispatch_per_s\": %.0f},"
-        scan_n scan_s scan_rate;
-      Printf.sprintf
-        "  \"indexed\": {\"dispatches\": %d, \"wall_s\": %.6f, \"dispatch_per_s\": %.0f},"
-        idx_n idx_s idx_rate;
-      Printf.sprintf "  \"speedup_indexed_vs_scan\": %.3f," speedup;
-      Printf.sprintf
-        "  \"emit_ns_per_event\": {\"dropped_unboxed\": %.1f, \"with_subscriber\": %.1f}"
-        emit_drop emit_sub;
-      "}";
-    ]
+    (Obj
+       [
+         ("bench", Str "sched");
+         ("quick", Bool !quick);
+         ("threads", Int threads);
+         ("yields_per_thread", Int yields);
+         ( "indexed",
+           Obj
+             [
+               ("dispatches", Int dispatches);
+               ("wall_s", Fixed (6, s));
+               ("dispatch_per_s", Fixed (0, rate));
+             ] );
+         ( "emit_ns_per_event",
+           Obj
+             [
+               ("dropped_unboxed", Fixed (1, emit_drop));
+               ("with_subscriber", Fixed (1, emit_sub));
+             ] );
+       ])
 
 (* A campaign at the scale the driver is built for: a million
    injections spread across all six services, swept over the -j list.
@@ -442,37 +325,40 @@ let campaign_scale () =
     vjobs !v_total !v_complete !v_max !v_viol verify_s;
   assert (!v_viol = 0);
   let path = Option.value !out_path ~default:"BENCH_campaign.json" in
+  let open Sg_util.Json in
   write_json path
-    ([
-       "{";
-       Printf.sprintf "  \"bench\": \"campaign-scale\",";
-       Printf.sprintf "  \"quick\": %b," !quick;
-       Printf.sprintf "  \"services\": %d," nsvc;
-       Printf.sprintf "  \"injections_total\": %d," injections_total;
-       Printf.sprintf "  \"injections_per_service\": %d," per_service;
-       Printf.sprintf "  \"host_cores\": %d,"
-         (Domain.recommended_domain_count ());
-       "  \"jobs\": [";
-     ]
-    @ (List.mapi
-         (fun i (j, (_, s)) ->
-           Printf.sprintf
-             "    {\"j\": %d, \"wall_s\": %.6f, \"injections_per_s\": %.0f, \
-              \"speedup_vs_j1\": %.3f}%s"
-             j s
-             (float_of_int injections_total /. s)
-             (base_s /. s)
-             (if i = List.length results - 1 then "" else ","))
-         results)
-    @ [
-        "  ],";
-        Printf.sprintf
-          "  \"verify_bounds\": {\"jobs\": %d, \"episodes\": %d, \
-           \"complete\": %d, \"max_span_ns\": %d, \"violations\": %d, \
-           \"wall_s\": %.3f}"
-          vjobs !v_total !v_complete !v_max !v_viol verify_s;
-        "}";
-      ])
+    (Obj
+       [
+         ("bench", Str "campaign-scale");
+         ("quick", Bool !quick);
+         ("services", Int nsvc);
+         ("injections_total", Int injections_total);
+         ("injections_per_service", Int per_service);
+         ("host_cores", Int (Domain.recommended_domain_count ()));
+         ( "jobs",
+           List
+             (List.map
+                (fun (j, (_, s)) ->
+                  Obj
+                    [
+                      ("j", Int j);
+                      ("wall_s", Fixed (6, s));
+                      ( "injections_per_s",
+                        Fixed (0, float_of_int injections_total /. s) );
+                      ("speedup_vs_j1", Fixed (3, base_s /. s));
+                    ])
+                results) );
+         ( "verify_bounds",
+           Obj
+             [
+               ("jobs", Int vjobs);
+               ("episodes", Int !v_total);
+               ("complete", Int !v_complete);
+               ("max_span_ns", Int !v_max);
+               ("violations", Int !v_viol);
+               ("wall_s", Fixed (3, verify_s));
+             ] );
+       ])
 
 (* The open-loop web harness at benchmark scale: one fault-period sweep
    (fault-free, 3ms, 1ms) per jobs level, with the campaign-scale
@@ -528,50 +414,57 @@ let web_tail () =
         (Hist.percentile t.Reqjoin.tj_shadowed 0.99))
     ref_rows;
   let path = Option.value !out_path ~default:"BENCH_web.json" in
+  let open Sg_util.Json in
   write_json path
-    ([
-       "{";
-       Printf.sprintf "  \"bench\": \"web-tail\",";
-       Printf.sprintf "  \"quick\": %b," !quick;
-       Printf.sprintf "  \"requests\": %d," requests;
-       Printf.sprintf "  \"mode\": \"superglue\",";
-       Printf.sprintf "  \"host_cores\": %d,"
-         (Domain.recommended_domain_count ());
-       "  \"jobs\": [";
-     ]
-    @ (List.mapi
-         (fun i (j, (_, s)) ->
-           Printf.sprintf
-             "    {\"j\": %d, \"wall_s\": %.6f, \"req_per_s\": %.0f, \
-              \"speedup_vs_j1\": %.3f}%s"
-             j s
-             (float_of_int total /. s)
-             (base_s /. s)
-             (if i = List.length results - 1 then "" else ","))
-         results)
-    @ [ "  ],"; "  \"rows\": [" ]
-    @ (List.mapi
-         (fun i (o : Loadgen.outcome) ->
-           let t = o.Loadgen.oc_join in
-           Printf.sprintf
-             "    {\"fault_period_ms\": %d, \"faults\": %d, \"reboots\": %d, \
-              \"offered_rps\": %.1f, \"served_rps\": %.1f, \"dropped\": %d, \
-              \"clean_p50_ns\": %d, \"clean_p99_ns\": %d, \"clean_p999_ns\": \
-              %d, \"shadowed_p99_ns\": %d, \"shadowed_p999_ns\": %d}%s"
-             (match o.Loadgen.oc_fault_period_ns with
-             | None -> 0
-             | Some ns -> ns / 1_000_000)
-             o.Loadgen.oc_result.Loadgen.lr_faults o.Loadgen.oc_reboots
-             (Reqjoin.offered_rps t) (Reqjoin.served_rps t)
-             t.Reqjoin.tj_dropped
-             (Hist.percentile t.Reqjoin.tj_clean 0.50)
-             (Hist.percentile t.Reqjoin.tj_clean 0.99)
-             (Hist.percentile t.Reqjoin.tj_clean 0.999)
-             (Hist.percentile t.Reqjoin.tj_shadowed 0.99)
-             (Hist.percentile t.Reqjoin.tj_shadowed 0.999)
-             (if i = List.length ref_rows - 1 then "" else ","))
-         ref_rows)
-    @ [ "  ]"; "}" ])
+    (Obj
+       [
+         ("bench", Str "web-tail");
+         ("quick", Bool !quick);
+         ("requests", Int requests);
+         ("mode", Str "superglue");
+         ("host_cores", Int (Domain.recommended_domain_count ()));
+         ( "jobs",
+           List
+             (List.map
+                (fun (j, (_, s)) ->
+                  Obj
+                    [
+                      ("j", Int j);
+                      ("wall_s", Fixed (6, s));
+                      ("req_per_s", Fixed (0, float_of_int total /. s));
+                      ("speedup_vs_j1", Fixed (3, base_s /. s));
+                    ])
+                results) );
+         ( "rows",
+           List
+             (List.map
+                (fun (o : Loadgen.outcome) ->
+                  let t = o.Loadgen.oc_join in
+                  Obj
+                    [
+                      ( "fault_period_ms",
+                        Int
+                          (match o.Loadgen.oc_fault_period_ns with
+                          | None -> 0
+                          | Some ns -> ns / 1_000_000) );
+                      ("faults", Int o.Loadgen.oc_result.Loadgen.lr_faults);
+                      ("reboots", Int o.Loadgen.oc_reboots);
+                      ("offered_rps", Fixed (1, Reqjoin.offered_rps t));
+                      ("served_rps", Fixed (1, Reqjoin.served_rps t));
+                      ("dropped", Int t.Reqjoin.tj_dropped);
+                      ( "clean_p50_ns",
+                        Int (Hist.percentile t.Reqjoin.tj_clean 0.50) );
+                      ( "clean_p99_ns",
+                        Int (Hist.percentile t.Reqjoin.tj_clean 0.99) );
+                      ( "clean_p999_ns",
+                        Int (Hist.percentile t.Reqjoin.tj_clean 0.999) );
+                      ( "shadowed_p99_ns",
+                        Int (Hist.percentile t.Reqjoin.tj_shadowed 0.99) );
+                      ( "shadowed_p999_ns",
+                        Int (Hist.percentile t.Reqjoin.tj_shadowed 0.999) );
+                    ])
+                ref_rows) );
+       ])
 
 let all =
   [
@@ -582,7 +475,6 @@ let all =
     ("fig7", fig7);
     ("ablation", ablation);
     ("obs", obs);
-    ("micro", micro);
     ("sched", sched_perf);
     ("campaign-scale", campaign_scale);
     ("web-tail", web_tail);

@@ -102,8 +102,8 @@ let app_spec name =
     sc_usage = (fun _ -> None);
   }
 
-let build ?(seed = 42) ?cost ?sched ?adversary mode =
-  let sim = Sim.create ?cost ~seed ?sched () in
+let build ?(seed = 42) ?cost ?adversary mode =
+  let sim = Sim.create ?cost ~seed () in
   let cbufs = Cbuf.create () in
   let storage = Storage.create cbufs in
   let stubset =

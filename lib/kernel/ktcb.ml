@@ -55,19 +55,6 @@ let spawn t ~name ~prio ~home =
 
 let find t tid = Hashtbl.find_opt t.table tid
 
-let find_exn t tid =
-  match find t tid with
-  | Some tcb -> tcb
-  | None -> invalid_arg (Printf.sprintf "Ktcb.find_exn: unknown tid %d" tid)
-
-let exit_thread t tid =
-  match find t tid with Some tcb -> tcb.state <- Exited | None -> ()
-
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f t.order.(i)
-  done
-
 (* collect matching threads in tid order without an intermediate list *)
 let filter_threads t p =
   let acc = ref [] in
@@ -89,28 +76,7 @@ let leave_component tcb =
 let current_component tcb =
   match tcb.stack with [] -> None | cid :: _ -> Some cid
 
-let executing_in t cid =
-  filter_threads t (fun tcb ->
-      tcb.state <> Exited && current_component tcb = Some cid)
-
 let in_stack tcb cid = List.mem cid tcb.stack
 
 let threads_inside t cid =
   filter_threads t (fun tcb -> tcb.state <> Exited && in_stack tcb cid)
-
-let blocked_in t cid =
-  filter_threads t (fun tcb ->
-      match tcb.state with
-      | Blocked { in_component } | Sleeping { in_component; _ } ->
-          in_component = cid
-      | Runnable | Exited -> false)
-
-let runnable t =
-  filter_threads t (fun tcb -> tcb.state = Runnable)
-  |> List.stable_sort (fun a b -> compare a.prio b.prio)
-
-let sleepers t =
-  filter_threads t (fun tcb ->
-      match tcb.state with Sleeping _ -> true | _ -> false)
-
-let count t = t.n

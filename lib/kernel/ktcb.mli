@@ -41,25 +41,16 @@ val spawn : t -> name:string -> prio:int -> home:int -> tcb
 (** [home] is the component the thread starts executing in. *)
 
 val find : t -> tid -> tcb option
-val find_exn : t -> tid -> tcb
-val exit_thread : t -> tid -> unit
 
 val all : t -> tcb list
 (** All threads ever spawned (including exited ones), in ascending tid
     order. Backed by an append-only array maintained at spawn time — no
     per-call fold-and-sort. *)
 
-val iter : t -> (tcb -> unit) -> unit
-(** Allocation-free traversal in ascending tid order. *)
-
 val enter_component : tcb -> int -> unit
 val leave_component : tcb -> unit
 val current_component : tcb -> int option
 (** Innermost component the thread is executing in. *)
-
-val executing_in : t -> int -> tcb list
-(** Threads whose innermost frame is the given component — the SWIFI
-    targeting set. *)
 
 val in_stack : tcb -> int -> bool
 (** Whether the component appears anywhere on the thread's invocation
@@ -68,14 +59,3 @@ val in_stack : tcb -> int -> bool
 
 val threads_inside : t -> int -> tcb list
 (** All live threads with the component anywhere on their stack. *)
-
-val blocked_in : t -> int -> tcb list
-(** Reflection: threads currently blocked (or in a timed sleep) inside the
-    given component. *)
-
-val runnable : t -> tcb list
-(** All runnable threads, highest priority first; FIFO within equal
-    priority (by spawn order). *)
-
-val sleepers : t -> tcb list
-val count : t -> int

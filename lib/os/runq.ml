@@ -10,19 +10,25 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
-module Make (K : ORDERED) = struct
+module type S = sig
+  type key
+  type 'a t
+
+  val create : unit -> 'a t
+  val push : 'a t -> key -> 'a -> unit
+  val peek : 'a t -> (key * 'a) option
+  val pop : 'a t -> (key * 'a) option
+end
+
+module Make (K : ORDERED) : S with type key = K.t = struct
+  type key = K.t
+
   type 'a t = {
     mutable data : (K.t * 'a) array;  (* heap in [0, size) *)
     mutable size : int;
   }
 
   let create () = { data = [||]; size = 0 }
-  let length h = h.size
-  let is_empty h = h.size = 0
-
-  let clear h =
-    h.data <- [||];
-    h.size <- 0
 
   let swap h i j =
     let tmp = h.data.(i) in

@@ -2,67 +2,35 @@
 
     The discrete-event dispatcher makes one scheduling decision per
     fiber switch; at campaign scale (thousands of SWIFI chunks, each a
-    full workload run) the old [Hashtbl.fold]-and-scan implementation
-    made every decision O(threads) with a fresh list allocation. The
-    structures here replace those scans:
+    full workload run) that decision must not cost a pass over every
+    thread. Both queues are binary min-heaps:
 
-    - a binary min-heap keyed by the scheduler's [(prio, last_run, tid)]
-      total order backs the ready queue — pop is the exact lexicographic
-      minimum, i.e. bit-for-bit the thread the old scan picked;
-    - the same heap shape keyed by [(until_ns, tid)] backs the sleeper
-      queue, making [earliest_sleeper] a peek instead of a fold over
-      every thread.
+    - the ready queue is keyed by the scheduler's [(prio, last_run, tid)]
+      total order, so pop is its exact lexicographic minimum;
+    - the sleeper queue is keyed by [(until_ns, tid)], so the earliest
+      timed wakeup is a peek.
 
     Keys are immutable snapshots taken at push time; the simulator only
     re-keys a fiber while it holds it out of the queue, so entries never
     go stale in place. Sleeper entries are invalidated lazily by a
     per-fiber generation counter (see {!Sim}). *)
 
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
 (** Growable-array binary min-heap with [O(log n)] push/pop and [O(1)]
     peek. Not stable: equal keys pop in unspecified order — the
     scheduler's keys are made total (tid last) precisely so this never
     matters. *)
-module Make (K : ORDERED) : sig
+module type S = sig
+  type key
   type 'a t
 
   val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> K.t -> 'a -> unit
-  val peek : 'a t -> (K.t * 'a) option
-  val pop : 'a t -> (K.t * 'a) option
-  val clear : 'a t -> unit
+  val push : 'a t -> key -> 'a -> unit
+  val peek : 'a t -> (key * 'a) option
+  val pop : 'a t -> (key * 'a) option
 end
 
-(** Ready-queue instance: [(prio, last_run, tid)], lexicographic — the
-    dispatcher's historical tie-break order. *)
-module Ready : sig
-  type 'a t
+(** Ready queue: [(prio, last_run, tid)], lexicographic. *)
+module Ready : S with type key = int * int * int
 
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> (int * int * int) -> 'a -> unit
-  val peek : 'a t -> ((int * int * int) * 'a) option
-  val pop : 'a t -> ((int * int * int) * 'a) option
-  val clear : 'a t -> unit
-end
-
-(** Sleeper-queue instance: [(until_ns, tid)]. *)
-module Sleep : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> (int * int) -> 'a -> unit
-  val peek : 'a t -> ((int * int) * 'a) option
-  val pop : 'a t -> ((int * int) * 'a) option
-  val clear : 'a t -> unit
-end
+(** Sleeper queue: [(until_ns, tid)], lexicographic. *)
+module Sleep : S with type key = int * int

@@ -46,17 +46,13 @@ type run_result = Completed | Fatal of fatal | Deadlock
 
 (** {1 Construction} *)
 
-(** [sched] selects the dispatcher backend. [`Indexed] (the default)
-    maintains the ready and sleeper sets incrementally in {!Runq} heaps;
-    [`Scan] is the legacy O(threads)-per-decision list scan, kept as the
-    reference implementation for the golden-trace determinism tests and
-    the [bench sched] comparison. Both backends dispatch threads in the
-    exact same [(prio, last_run, tid)] order, so every observable
-    behaviour — event streams, virtual times, campaign outcomes — is
-    bit-for-bit identical across them. *)
-val create :
-  ?cost:Sg_kernel.Cost.t -> ?seed:int -> ?sched:[ `Scan | `Indexed ] ->
-  unit -> t
+(** The dispatcher keeps the ready and sleeper sets incrementally in
+    {!Runq} heaps and runs the runnable thread with the least
+    [(prio, last_run, tid)]: highest priority first, round-robin within
+    a priority, tid as the final tie-break. The golden-trace tests pin
+    the dispatch sequences and crash-storm event streams this order
+    produces. *)
+val create : ?cost:Sg_kernel.Cost.t -> ?seed:int -> unit -> t
 val kernel : t -> Sg_kernel.Kernel.t
 val cost : t -> Sg_kernel.Cost.t
 val rng : t -> Sg_util.Rng.t

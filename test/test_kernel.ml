@@ -46,17 +46,15 @@ let test_ktcb_lifecycle () =
   let t = Ktcb.create () in
   let a = Ktcb.spawn t ~name:"a" ~prio:5 ~home:1 in
   let b = Ktcb.spawn t ~name:"b" ~prio:3 ~home:1 in
-  Alcotest.(check int) "count" 2 (Ktcb.count t);
   Alcotest.(check int) "distinct tids" 2 (List.length (Ktcb.all t));
-  (match Ktcb.runnable t with
-  | first :: _ ->
-      Alcotest.(check int) "highest prio first" b.Ktcb.tid first.Ktcb.tid
-  | [] -> Alcotest.fail "no runnable");
-  a.Ktcb.state <- Ktcb.Blocked { in_component = 7 };
-  Alcotest.(check int) "blocked_in" 1 (List.length (Ktcb.blocked_in t 7));
-  Alcotest.(check int) "not blocked elsewhere" 0 (List.length (Ktcb.blocked_in t 8));
-  Ktcb.exit_thread t a.Ktcb.tid;
-  Alcotest.(check int) "runnable after exit" 1 (List.length (Ktcb.runnable t))
+  (match Ktcb.find t b.Ktcb.tid with
+  | Some tcb -> Alcotest.(check bool) "find" true (tcb == b)
+  | None -> Alcotest.fail "find");
+  Alcotest.(check bool) "find unknown" true (Option.is_none (Ktcb.find t 99));
+  a.Ktcb.state <- Ktcb.Exited;
+  Alcotest.(check (list int)) "exited threads stay listed, in tid order"
+    [ a.Ktcb.tid; b.Ktcb.tid ]
+    (List.map (fun tcb -> tcb.Ktcb.tid) (Ktcb.all t))
 
 let test_ktcb_stack () =
   let t = Ktcb.create () in
@@ -67,22 +65,10 @@ let test_ktcb_stack () =
   Alcotest.(check (option int)) "innermost" (Some 9) (Ktcb.current_component a);
   Alcotest.(check bool) "in_stack middle" true (Ktcb.in_stack a 4);
   Alcotest.(check bool) "not in stack" false (Ktcb.in_stack a 5);
-  Alcotest.(check int) "executing_in innermost" 1
-    (List.length (Ktcb.executing_in t 9));
-  Alcotest.(check int) "executing_in not middle" 0
-    (List.length (Ktcb.executing_in t 4));
   Alcotest.(check int) "threads_inside middle" 1
     (List.length (Ktcb.threads_inside t 4));
   Ktcb.leave_component a;
   Alcotest.(check (option int)) "after leave" (Some 4) (Ktcb.current_component a)
-
-let test_ktcb_sleepers () =
-  let t = Ktcb.create () in
-  let a = Ktcb.spawn t ~name:"a" ~prio:5 ~home:1 in
-  a.Ktcb.state <- Ktcb.Sleeping { until_ns = 100; in_component = 2 };
-  Alcotest.(check int) "sleeper count" 1 (List.length (Ktcb.sleepers t));
-  Alcotest.(check int) "sleeping counts as blocked_in" 1
-    (List.length (Ktcb.blocked_in t 2))
 
 let test_captbl () =
   let c = Captbl.create () in
@@ -245,7 +231,6 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_ktcb_lifecycle;
           Alcotest.test_case "invocation stack" `Quick test_ktcb_stack;
-          Alcotest.test_case "sleepers" `Quick test_ktcb_sleepers;
         ] );
       ("captbl", [ Alcotest.test_case "grant/revoke" `Quick test_captbl ]);
       ( "frames",

@@ -42,13 +42,14 @@ echo "== JSON lives in one module: no hand-rolled JSON outside lib/util/json.ml"
 # Every JSON document is built as a Sg_util.Json.t and printed or parsed
 # there. A '"' char literal (escaping or parsing by hand) or a \"key\":
 # string literal (an object pasted together with printf) anywhere else
-# in lib/ or bin/ is a second codec. The allowlist holds file paths;
-# keep it empty.
+# in lib/, bin/ or bench/ is a second codec. The allowlist holds file
+# paths; keep it empty.
 python3 - <<'EOF'
 import glob, re, sys
 allow = set()
 pat = re.compile(r"""'"'|\\"[A-Za-z_][\w-]*\\":""")
 files = sorted(glob.glob("lib/**/*.ml", recursive=True)) + sorted(glob.glob("bin/*.ml"))
+files += sorted(glob.glob("bench/*.ml"))
 hits = []
 for f in files:
     if f == "lib/util/json.ml" or f in allow:
@@ -100,10 +101,14 @@ trap 'rm -rf "$tmpdir"' EXIT
 python3 - "$tmpdir/BENCH_sched.json" <<'EOF'
 import json, sys
 b = json.load(open(sys.argv[1]))
-assert b["bench"] == "sched"
-for k in ("scan", "indexed"):
-    assert b[k]["wall_s"] > 0 and b[k]["dispatch_per_s"] > 0
-assert b["speedup_indexed_vs_scan"] > 0
+assert b["bench"] == "sched" and b["quick"] is True
+assert set(b) == {"bench", "quick", "threads", "yields_per_thread",
+                  "indexed", "emit_ns_per_event"}
+d = b["indexed"]
+assert d["dispatches"] == b["threads"] * b["yields_per_thread"]
+assert d["wall_s"] > 0 and d["dispatch_per_s"] > 0
+e = b["emit_ns_per_event"]
+assert e["dropped_unboxed"] > 0 and e["with_subscriber"] > 0
 EOF
 
 echo "== perf smoke: bench campaign-scale --quick writes valid BENCH_campaign.json"
